@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .inference import eigenvalue_statistic, eigenvector_statistic, run_test
 from .models import (
@@ -219,6 +219,8 @@ def _moment_summary(values: np.ndarray) -> dict:
     variance = float(vals.var(ddof=1)) if vals.shape[0] > 1 else 0.0
     spread = math.sqrt(variance)
     if vals.shape[0] > 2 and spread > 1e-12 * max(1.0, abs(mean)):
+        from scipy import stats  # deferred: ~0.5 s of import nothing else needs
+
         skewness = float(stats.skew(vals, bias=False))
     else:
         skewness = 0.0  # constant up to rounding: define rather than warn

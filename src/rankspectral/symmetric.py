@@ -9,6 +9,7 @@ it.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -209,6 +210,12 @@ class MatrixSource:
 def load_matrix(source: MatrixSource | str | Path, format: str = "dense-csv") -> SymmetricMatrix:
     """Read a :class:`SymmetricMatrix` from a file or stream.
 
+    Plain numeric text is parsed in one vectorized pass. Whatever that pass
+    declines is read again line by line, and the line reader's result or
+    line-numbered error stands, so the two routes accept the same inputs and
+    word every error alike. A stream is read to its end first; its lines are
+    then split at line feeds only.
+
     Parameters
     ----------
     source : MatrixSource or path
@@ -219,8 +226,9 @@ def load_matrix(source: MatrixSource | str | Path, format: str = "dense-csv") ->
     Raises
     ------
     FormatError
-        Malformed input: wrong shape or token count, non-numeric tokens,
-        duplicate edge-list pairs with conflicting weights, missing pairs.
+        Malformed input: invalid UTF-8, wrong shape or token count,
+        non-numeric tokens, duplicate edge-list pairs with conflicting
+        weights, missing pairs.
     AsymmetryError
         Dense input asymmetric beyond ``1e-9 * max(1, |entry|)``.
     FileNotFoundError
@@ -229,10 +237,17 @@ def load_matrix(source: MatrixSource | str | Path, format: str = "dense-csv") ->
     if not isinstance(source, MatrixSource):
         source = MatrixSource(format=format, path=source)
     if source.path is not None:
-        with open(source.path, "r", encoding="utf-8") as fh:
-            return _parse(source.format, fh)
+        with open(source.path, "rb") as fh:
+            data = fh.read()
+        matrix = _parse_fast(source.format, data)
+        return matrix if matrix is not None else _parse(source.format, _utf8_lines(data))
     assert source.stream is not None
-    return _parse(source.format, source.stream)
+    try:
+        text = source.stream.read()
+    except UnicodeDecodeError as exc:
+        raise _decode_error(exc) from None
+    matrix = _parse_fast(source.format, text.encode("ascii")) if text.isascii() else None
+    return matrix if matrix is not None else _parse(source.format, io.StringIO(text))
 
 
 def save_matrix(
@@ -268,6 +283,95 @@ def _emit(matrix: SymmetricMatrix, fh: IO[str], format: str) -> None:
         rows, cols = pair_indices(matrix.n)
         for i, j, v in zip(rows, cols, matrix.values):
             fh.write(f"{i} {j} {repr(float(v))}\n")
+
+
+def _decode_error(exc: UnicodeDecodeError) -> FormatError:
+    # Count line breaks as text mode does: LF, CRLF and a lone CR.
+    head = exc.object[: exc.start]
+    lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+    return FormatError(f"line {lineno}: invalid UTF-8 byte 0x{exc.object[exc.start]:02x}")
+
+
+def _utf8_lines(data: bytes) -> IO[str]:
+    """The lines of ``data`` as ``open(path, encoding="utf-8")`` yields them."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _decode_error(exc) from None
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
+# The only bytes the vectorized pass accepts. On such text numpy splits lines
+# and fields where str.split does, and converts exactly the tokens float()
+# and int() accept, to the same values; anything else goes line by line.
+_PLAIN_BYTES = b"0123456789+-.eE \t\n"
+_EDGE_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
+_BLOCK_BYTES = 1 << 20
+
+
+def _parse_fast(format: str, data: bytes) -> SymmetricMatrix | None:
+    """One vectorized parse of plain numeric text, or None to read it line by line.
+
+    A matrix returned here is bit-identical to what the line parser returns
+    for the same text. No error is raised from here: wording errors is left
+    to the line parser.
+    """
+    plain = _PLAIN_BYTES + b"," if format == "dense-csv" else _PLAIN_BYTES
+    if not data or data.isspace() or data.translate(None, plain):
+        return None
+    try:
+        if format == "dense-csv":
+            rows = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, ndmin=2)
+            # from_dense drops the diagonal, where the line parser still
+            # rejects an overflowing token such as 1e400.
+            return SymmetricMatrix.from_dense(rows) if np.isfinite(rows).all() else None
+        if format == "upper-triangle-text":
+            head, rest = data.split(None, 1)
+            return SymmetricMatrix(int(head), _floats(rest))
+        return _fast_edge_list(data)
+    except ValueError:  # numpy's conversion and shape errors, and FormatError
+        return None
+
+
+def _floats(tokens: bytes) -> np.ndarray:
+    """float() of each whitespace-separated token, a block of lines at a time.
+
+    Block by block, the token objects alive at once are one block's worth
+    rather than one per matrix entry.
+    """
+    blocks, start = [], 0
+    while start < len(tokens):
+        stop = tokens.find(b"\n", start + _BLOCK_BYTES)
+        stop = len(tokens) if stop < 0 else stop
+        blocks.append(np.array(tokens[start:stop].split(), dtype=np.float64))
+        start = stop
+    return np.concatenate(blocks)
+
+
+def _fast_edge_list(data: bytes) -> SymmetricMatrix:
+    rows = np.loadtxt(io.BytesIO(data), dtype=_EDGE_DTYPE, comments=None, ndmin=1)
+    i, j, w = rows["i"], rows["j"], rows["w"]
+    if min(i.min(), j.min()) < 0 or not np.all(np.isfinite(w)):
+        raise FormatError("negative index or non-finite weight")
+    n = int(max(i.max(), j.max())) + 1
+    # Each pair needs a line of its own. Checked in Python ints before any
+    # array of size n or N exists, so a huge index cannot overflow a key.
+    if n * (n - 1) // 2 > rows.shape[0]:
+        raise FormatError("fewer lines than pairs")
+    off = i != j
+    lo = np.minimum(i[off], j[off])
+    hi = np.maximum(i[off], j[off])
+    keys = lo * (2 * n - lo - 1) // 2 + (hi - lo - 1)
+    order = np.argsort(keys, kind="stable")  # repeats keep their line order
+    keys = keys[order]
+    w = w[off][order]
+    repeat = keys[1:] == keys[:-1]
+    if np.any(w[1:][repeat] != w[:-1][repeat]):
+        raise FormatError("conflicting weights")
+    # The last line of each pair wins, as in the dict. The keys left are
+    # distinct and in range, so the constructor's length check means that
+    # every pair is present.
+    return SymmetricMatrix(n, w[np.append(~repeat, True)])
 
 
 def _parse(format: str, fh: IO[str]) -> SymmetricMatrix:

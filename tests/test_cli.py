@@ -6,8 +6,10 @@ point declared in ``pyproject.toml``, writes the wrapper an installer would
 generate for it, and runs that wrapper in a child process against the
 checkout's own package, so it needs no install. ``test_installed_console_script``
 runs the command found on PATH and is skipped where the package is not
-installed. Error-path assertions pin the exit code, the single-line JSON
-record on stderr, and silence on stdout.
+installed. ``test_cli_import_skips_scipy_stats`` imports the CLI module in a
+child process too, to see which modules a fresh import loads. Error-path
+assertions pin the exit code, the single-line JSON record on stderr, and
+silence on stdout.
 """
 
 import json
@@ -182,6 +184,15 @@ class TestTestCommand:
         assert out == ""
         message = assert_error_record(err, "FormatError")
         assert "line 2" in message
+
+    def test_non_utf8_input_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run_cli(["test", str(path)], capsys)
+        assert code == 65
+        assert out == ""
+        message = assert_error_record(err, "FormatError")
+        assert message == "line 1: invalid UTF-8 byte 0xff"
 
     def test_asymmetric_input(self, tmp_path, capsys):
         path = tmp_path / "asym.csv"
@@ -458,6 +469,15 @@ def assert_script_accepts(cmd, path, env=None):
     assert proc.stderr == ""
 
 
+def checkout_env():
+    """Child-process environment with the imported package first on PYTHONPATH,
+    so the child runs the code under test."""
+    package_root = str(Path(rankspectral.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_script(tmp_path, small_matrix):
     if sys.version_info >= (3, 11):
         import tomllib
@@ -476,11 +496,25 @@ def test_console_script(tmp_path, small_matrix):
         f"sys.exit({entry.attr}())\n",
         encoding="utf-8",
     )
-    # Put the imported package first so the child runs the code under test.
-    package_root = str(Path(rankspectral.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    assert_script_accepts([sys.executable, str(wrapper)], small_matrix, env)
+    assert_script_accepts([sys.executable, str(wrapper)], small_matrix, checkout_env())
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats costs about half a second of import; only the moment
+    # summaries of experiments use it, and they import it when they do.
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, rankspectral.cli; print('scipy.stats' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=checkout_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.skipif(

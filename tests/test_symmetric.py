@@ -2,12 +2,16 @@
 
 import io
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankspectral import symmetric
 from rankspectral import (
     AsymmetryError,
     FormatError,
@@ -244,6 +248,41 @@ class TestRoundTrips:
         with pytest.raises(FileNotFoundError):
             load_matrix(tmp_path / "absent.csv")
 
+    @pytest.mark.parametrize("format", symmetric.FORMATS)
+    def test_saved_text_takes_vectorized_parse(self, format):
+        # The equivalence property below is only worth something if the
+        # vectorized pass accepts what save_matrix writes.
+        m = random_symmetric(7, seed=9, low=-5.0, high=5.0)
+        buf = io.StringIO()
+        save_matrix(m, buf, format=format)
+        fast = symmetric._parse_fast(format, buf.getvalue().encode("ascii"))
+        assert fast is not None
+        assert fast.n == m.n
+        assert np.array_equal(fast.values.view(np.uint64), m.values.view(np.uint64))
+
+    @pytest.mark.parametrize("width", [1, 4, 1000])
+    def test_upper_triangle_across_blocks(self, width, monkeypatch):
+        # Blocks of a few bytes put block boundaries between lines of every
+        # kind; the values must come out as if read in one piece.
+        monkeypatch.setattr(symmetric, "_BLOCK_BYTES", 5)
+        m = random_symmetric(12, seed=3, low=-2.0, high=2.0)
+        tokens = [repr(float(v)) for v in m.values]
+        lines = [" ".join(tokens[k : k + width]) for k in range(0, len(tokens), width)]
+        text = "12 " + "\n".join(lines) + "\n"
+        fast = symmetric._parse_fast("upper-triangle-text", text.encode("ascii"))
+        assert fast is not None
+        assert np.array_equal(fast.values.view(np.uint64), m.values.view(np.uint64))
+
+    def test_invalid_utf8_is_format_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(FormatError, match=r"^line 1: invalid UTF-8 byte 0xff$"):
+            load_matrix(path)
+        # Line breaks are counted as text mode counts them: LF, CRLF, lone CR.
+        path.write_bytes(b"3\r\n0.5\r0.25\n\xe9\n")
+        with pytest.raises(FormatError, match=r"^line 4: invalid UTF-8 byte 0xe9$"):
+            load_matrix(path, format="upper-triangle-text")
+
 
 class TestDenseCsvParsing:
     def load(self, text):
@@ -272,6 +311,11 @@ class TestDenseCsvParsing:
     def test_non_finite(self):
         with pytest.raises(FormatError, match="non-finite"):
             self.load("0,inf\ninf,0\n")
+
+    def test_non_finite_diagonal(self):
+        # The diagonal is dropped, yet its tokens must still be finite.
+        with pytest.raises(FormatError, match="non-finite value '1e400'"):
+            self.load("1e400,0\n0,0\n")
 
     def test_asymmetric(self):
         with pytest.raises(AsymmetryError):
@@ -355,6 +399,115 @@ class TestEdgeListParsing:
     def test_empty(self):
         with pytest.raises(FormatError, match="empty"):
             self.load("")
+
+    def test_huge_node_index(self):
+        # Pack keys at n=4000000001 overflow int64, so the pair count must be
+        # compared with the line count before any key or array is built.
+        message = (
+            "incomplete edge list: 1 distinct pairs, "
+            "expected 8000000002000000000 for n=4000000001"
+        )
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            self.load("0 4000000000 1.0\n")
+
+
+# Tokens that float() or int() treat unlike a plain decimal, or reject.
+AWKWARD_TOKENS = ["1_0", "+1", " 1 ", "1e400", "nan", "-inf", "-0.0", "0x1p3", "1,5", "", "\u0661"]
+
+
+def _entry():
+    return st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+
+
+@st.composite
+def matrix_texts(draw, format):
+    """A valid matrix written in ``format``, then up to three awkward edits."""
+    n = draw(st.integers(2, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    values = draw(st.lists(_entry(), min_size=len(pairs), max_size=len(pairs)))
+    if format == "dense-csv":
+        dense = np.zeros((n, n))
+        for (i, j), v in zip(pairs, values):
+            dense[i, j] = dense[j, i] = v
+        rows = [[repr(float(x)) for x in row] for row in dense]
+        sep = draw(st.sampled_from([",", ", ", ",\t"]))
+    elif format == "upper-triangle-text":
+        tokens = [repr(v) for v in values]
+        width = draw(st.integers(1, 3))
+        rows = [[str(n)]] + [tokens[k : k + width] for k in range(0, len(tokens), width)]
+        if draw(st.booleans()):  # values share the dimension's line
+            rows[0:2] = [rows[0] + rows[1]]
+        sep = draw(st.sampled_from([" ", "\t", "  "]))
+    else:
+        order = draw(st.permutations(range(len(pairs))))
+        rows = []
+        for k in order:
+            i, j = pairs[k]
+            if draw(st.booleans()):
+                i, j = j, i
+            rows.append([str(i), str(j), repr(values[k])])
+        sep = draw(st.sampled_from([" ", "\t"]))
+    kinds = ["token", "blank", "comment", "trailing comma"]
+    if format == "weighted-edge-list":
+        kinds += ["self-loop", "duplicate", "duplicate", "float index", "negative index"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=3)):
+        at = draw(st.integers(0, len(rows) - 1))
+        row = rows[at]
+        if kind == "token":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(AWKWARD_TOKENS))
+        elif kind == "blank":
+            rows.insert(at, [draw(st.sampled_from(["", "  ", "\t"]))])
+        elif kind == "comment":
+            rows.insert(at, ["#", "note"])
+        elif kind == "trailing comma":
+            row[-1] += ","
+        elif kind == "self-loop":
+            k = draw(st.integers(0, n - 1))
+            rows.insert(at, [str(k), str(k), repr(draw(_entry()))])
+        elif len(row) != 3:
+            continue  # the edits below rewrite an 'i j w' line
+        elif kind == "duplicate":
+            # The same weight, the other zero, or (mostly) a conflicting one.
+            other_zero = {"0.0": "-0.0", "-0.0": "0.0"}.get(row[2], row[2])
+            weight = draw(st.sampled_from([row[2], other_zero, repr(draw(_entry()))]))
+            rows.insert(draw(st.integers(0, len(rows))), [row[1], row[0], weight])
+        elif kind == "float index":
+            row[0] += ".0"
+        else:
+            row[draw(st.integers(0, 1))] = str(-draw(st.integers(1, n)))
+    newline = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]))
+    return newline.join(sep.join(row) for row in rows) + draw(st.sampled_from(["", newline]))
+
+
+def _outcome(parse):
+    """What a parse gives: the matrix bit for bit, or the error's class and text."""
+    try:
+        m = parse()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return m.n, m.values.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("format", symmetric.FORMATS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_vectorized_parse_matches_line_parser(format, data):
+    text = data.draw(matrix_texts(format))
+    raw = text.encode("utf-8")
+    expected = _outcome(lambda: symmetric._parse(format, symmetric._utf8_lines(raw)))
+    fast = symmetric._parse_fast(format, raw)
+    if fast is not None:
+        assert expected == (fast.n, fast.values.view(np.uint64).tolist())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.txt"
+        path.write_bytes(raw)
+        assert _outcome(lambda: load_matrix(path, format=format)) == expected
+    from_stream = _outcome(lambda: symmetric._parse(format, io.StringIO(text)))
+    stream = MatrixSource(format=format, stream=io.StringIO(text))
+    assert _outcome(lambda: load_matrix(stream)) == from_stream
 
 
 def test_save_handles_extreme_values(tmp_path):
