@@ -210,11 +210,10 @@ class MatrixSource:
 def load_matrix(source: MatrixSource | str | Path, format: str = "dense-csv") -> SymmetricMatrix:
     """Read a :class:`SymmetricMatrix` from a file or stream.
 
-    Plain numeric text is parsed in one vectorized pass. Whatever that pass
-    declines is read again line by line, and the line reader's result or
-    line-numbered error stands, so the two routes accept the same inputs and
-    word every error alike. A stream is read to its end first; its lines are
-    then split at line feeds only.
+    A file of plain numeric text is parsed in one vectorized pass. Whatever
+    that pass declines is read again line by line, and the line reader's
+    result or line-numbered error stands, so the two routes accept the same
+    inputs and word every error alike. A stream is read line by line.
 
     Parameters
     ----------
@@ -236,18 +235,13 @@ def load_matrix(source: MatrixSource | str | Path, format: str = "dense-csv") ->
     """
     if not isinstance(source, MatrixSource):
         source = MatrixSource(format=format, path=source)
-    if source.path is not None:
-        with open(source.path, "rb") as fh:
-            data = fh.read()
-        matrix = _parse_fast(source.format, data)
-        return matrix if matrix is not None else _parse(source.format, _utf8_lines(data))
-    assert source.stream is not None
-    try:
-        text = source.stream.read()
-    except UnicodeDecodeError as exc:
-        raise _decode_error(exc) from None
-    matrix = _parse_fast(source.format, text.encode("ascii")) if text.isascii() else None
-    return matrix if matrix is not None else _parse(source.format, io.StringIO(text))
+    if source.path is None:
+        assert source.stream is not None
+        return _parse(source.format, source.stream)
+    with open(source.path, "rb") as fh:
+        data = fh.read()
+    matrix = _parse_fast(source.format, data)
+    return matrix if matrix is not None else _parse(source.format, _utf8_lines(data))
 
 
 def save_matrix(
@@ -285,20 +279,26 @@ def _emit(matrix: SymmetricMatrix, fh: IO[str], format: str) -> None:
             fh.write(f"{i} {j} {repr(float(v))}\n")
 
 
-def _decode_error(exc: UnicodeDecodeError) -> FormatError:
-    # Count line breaks as text mode does: LF, CRLF and a lone CR.
+def _decode_error(exc: UnicodeDecodeError, lines_before: int = 0) -> FormatError:
+    """The error for undecodable bytes that follow ``lines_before`` whole lines.
+
+    ``exc.object`` is what the decoder was given: the whole file, or the
+    chunk of a stream read after its last whole line. Line breaks in it are
+    counted as text mode counts them: LF, CRLF and a lone CR. A stream's
+    decoder holds back a CR that ends a chunk, and that break is not seen
+    here, so with lone-CR line ends a stream's number can be one short.
+    """
     head = exc.object[: exc.start]
-    lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+    lineno = lines_before + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
     return FormatError(f"line {lineno}: invalid UTF-8 byte 0x{exc.object[exc.start]:02x}")
 
 
 def _utf8_lines(data: bytes) -> IO[str]:
     """The lines of ``data`` as ``open(path, encoding="utf-8")`` yields them."""
     try:
-        data.decode("utf-8")
+        return io.StringIO(data.decode("utf-8"), newline=None)
     except UnicodeDecodeError as exc:
         raise _decode_error(exc) from None
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
 # The only bytes the vectorized pass accepts. On such text numpy splits lines
@@ -359,6 +359,8 @@ def _fast_edge_list(data: bytes) -> SymmetricMatrix:
     if n * (n - 1) // 2 > rows.shape[0]:
         raise FormatError("fewer lines than pairs")
     off = i != j
+    if not off.any():
+        raise FormatError("no pair of distinct nodes")
     lo = np.minimum(i[off], j[off])
     hi = np.maximum(i[off], j[off])
     keys = lo * (2 * n - lo - 1) // 2 + (hi - lo - 1)
@@ -383,10 +385,14 @@ def _parse(format: str, fh: IO[str]) -> SymmetricMatrix:
 
 
 def _numbered_lines(fh: IO[str]) -> Iterator[tuple[int, str]]:
-    for lineno, raw in enumerate(fh, start=1):
-        line = raw.strip()
-        if line:
-            yield lineno, line
+    lineno = 0
+    try:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line:
+                yield lineno, line
+    except UnicodeDecodeError as exc:
+        raise _decode_error(exc, lineno) from None
 
 
 def _parse_float(token: str, lineno: int) -> float:

@@ -283,6 +283,20 @@ class TestRoundTrips:
         with pytest.raises(FormatError, match=r"^line 4: invalid UTF-8 byte 0xe9$"):
             load_matrix(path, format="upper-triangle-text")
 
+    @pytest.mark.parametrize(
+        "data, lineno",
+        [
+            (b"3\r\n0.5\r0.25\n\xe9\n", 4),
+            # Decoded a chunk at a time: lines before the failing chunk count too.
+            (b"200\n" + b"0.5\n" * 5000 + b"\xe9\n", 5002),
+        ],
+        ids=["one chunk", "later chunk"],
+    )
+    def test_invalid_utf8_in_stream(self, data, lineno):
+        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        with pytest.raises(FormatError, match=rf"^line {lineno}: invalid UTF-8 byte 0xe9$"):
+            load_matrix(MatrixSource(format="upper-triangle-text", stream=stream))
+
 
 class TestDenseCsvParsing:
     def load(self, text):
@@ -410,6 +424,78 @@ class TestEdgeListParsing:
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             self.load("0 4000000000 1.0\n")
 
+    def test_self_loops_only(self):
+        with pytest.raises(FormatError, match="two nodes"):
+            self.load("0 0 7.0\n")
+        with pytest.raises(FormatError, match="incomplete"):
+            self.load("1 1 7.0\n")
+        with pytest.raises(FormatError, match="incomplete"):
+            self.load("0 0 1\n1 1 1\n")
+
+
+def _outcome(parse):
+    """What a parse gives: the matrix bit for bit, or the error's class and text."""
+    try:
+        m = parse()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return m.n, m.values.view(np.uint64).tolist()
+
+
+# The parsing cases above read streams, which take the line parser. A file
+# of the same text takes the vectorized pass first, and must end the same.
+FILE_CASES = {
+    "dense-csv": [
+        "0,5,1\n5,0,3\n1,3,0\n",
+        "9,5\n5,-9\n",
+        "0,1\n0\n",
+        "0,1,2\n1,0,3\n",
+        "0,inf\ninf,0\n",
+        "1e400,0\n0,0\n",
+        "0,1\n2,0\n",
+        "1\n",
+        "",
+    ],
+    "upper-triangle-text": [
+        "3\n5\n1\n3\n",
+        "3 5 1 3",
+        "3\n5\n1\n",
+        "3\n5\n1\n3\n4\n",
+        "1\n",
+        "-3 1 2 3\n",
+        "3\n",
+        "\n\n",
+    ],
+    "weighted-edge-list": [
+        "1 2 3.0\n0 1 5.0\n2 0 1.0\n",
+        "0 0 7.0\n0 1 2.0\n",
+        "0 1 2.0\n1 0 2.0\n",
+        "0 1 2.0\n1 0 2.5\n",
+        "0 1 2.0\n0 2 1.0\n",
+        "0 1\n",
+        "0 -1 2.0\n",
+        "0 4000000000 1.0\n",
+        "0 9223372036854775807 1.0\n",
+        "0 99999999999999999999 1.0\n",
+        "0 0 7.0\n",
+        "1 1 7.0\n",
+        "0 0 1\n1 1 1\n",
+        "",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "format, text", [(f, text) for f, texts in FILE_CASES.items() for text in texts]
+)
+def test_file_parse_matches_stream(format, text, tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_bytes(text.encode("utf-8"))
+    stream = MatrixSource(format=format, stream=io.StringIO(text))
+    assert _outcome(lambda: load_matrix(path, format=format)) == _outcome(
+        lambda: load_matrix(stream)
+    )
+
 
 # Tokens that float() or int() treat unlike a plain decimal, or reject.
 AWKWARD_TOKENS = ["1_0", "+1", " 1 ", "1e400", "nan", "-inf", "-0.0", "0x1p3", "1,5", "", "\u0661"]
@@ -452,7 +538,8 @@ def matrix_texts(draw, format):
         sep = draw(st.sampled_from([" ", "\t"]))
     kinds = ["token", "blank", "comment", "trailing comma"]
     if format == "weighted-edge-list":
-        kinds += ["self-loop", "duplicate", "duplicate", "float index", "negative index"]
+        kinds += ["self-loop", "self-loops only", "duplicate", "duplicate", "float index"]
+        kinds += ["negative index"]
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=3)):
         at = draw(st.integers(0, len(rows) - 1))
         row = rows[at]
@@ -467,6 +554,9 @@ def matrix_texts(draw, format):
         elif kind == "self-loop":
             k = draw(st.integers(0, n - 1))
             rows.insert(at, [str(k), str(k), repr(draw(_entry()))])
+        elif kind == "self-loops only":
+            nodes = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+            rows[:] = [[str(k), str(k), repr(draw(_entry()))] for k in nodes]
         elif len(row) != 3:
             continue  # the edits below rewrite an 'i j w' line
         elif kind == "duplicate":
@@ -480,15 +570,6 @@ def matrix_texts(draw, format):
             row[draw(st.integers(0, 1))] = str(-draw(st.integers(1, n)))
     newline = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]))
     return newline.join(sep.join(row) for row in rows) + draw(st.sampled_from(["", newline]))
-
-
-def _outcome(parse):
-    """What a parse gives: the matrix bit for bit, or the error's class and text."""
-    try:
-        m = parse()
-    except ValueError as exc:
-        return type(exc), str(exc)
-    return m.n, m.values.view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("format", symmetric.FORMATS)
@@ -505,9 +586,6 @@ def test_vectorized_parse_matches_line_parser(format, data):
         path = Path(tmp) / "m.txt"
         path.write_bytes(raw)
         assert _outcome(lambda: load_matrix(path, format=format)) == expected
-    from_stream = _outcome(lambda: symmetric._parse(format, io.StringIO(text)))
-    stream = MatrixSource(format=format, stream=io.StringIO(text))
-    assert _outcome(lambda: load_matrix(stream)) == from_stream
 
 
 def test_save_handles_extreme_values(tmp_path):
