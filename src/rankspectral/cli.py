@@ -21,18 +21,16 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-import numpy as np
-
 from .experiments import (
     ExperimentConfig,
     ExperimentError,
     QQ_REPLICATES,
     TABLE_REPLICATES,
-    _write_csv,
-    normal_qq_points,
     null_distribution_experiment,
     rejection_rate_experiment,
     semicircle_experiment,
+    write_histogram_csv,
+    write_qq_csv,
 )
 from .inference import run_test
 from .models import DistributionParseError
@@ -175,7 +173,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             n1=args.n1,
             threads=args.threads,
         )
-        config.validate()
     report = rejection_rate_experiment(config, dump_path=args.dump)
     _write_text(args.out, report.to_json() + "\n")
     return EXIT_OK
@@ -195,11 +192,7 @@ def cmd_esd(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "esd_histogram.csv"
-    _write_csv(
-        csv_path,
-        ["bin_left", "bin_right", "mass"],
-        [summary.bin_edges[:-1], summary.bin_edges[1:], summary.masses],
-    )
+    write_histogram_csv(csv_path, summary)
     json_path = out / "esd_summary.json"
     json_path.write_text(report.to_json() + "\n", encoding="utf-8")
     sys.stdout.write(f"{csv_path}\n{json_path}\n")
@@ -216,18 +209,8 @@ def cmd_qq(args: argparse.Namespace) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    key = "eigenvalue_stat" if args.which == "eigenvalue" else "eigenvector_stat"
-    qq = normal_qq_points(report.arrays[key])
     csv_path = out / f"qq_{args.which}.csv"
-    _write_csv(
-        csv_path,
-        ["percentile", "empirical_quantile", "normal_quantile"],
-        [
-            np.arange(1, 100, dtype=np.float64),
-            np.array([p[0] for p in qq]),
-            np.array([p[1] for p in qq]),
-        ],
-    )
+    write_qq_csv(csv_path, report.arrays[f"{args.which}_stat"])
     json_path = out / "qq_summary.json"
     json_path.write_text(report.to_json() + "\n", encoding="utf-8")
     sys.stdout.write(f"{csv_path}\n{json_path}\n")

@@ -1,8 +1,10 @@
 """Seeded Monte Carlo experiments over the rank-matrix test.
 
-Every experiment follows the same pattern: replicate i draws from a stream
-seeded by ``derive_seed(master_seed, i)``, workers write into index-i slots
-of preallocated buffers, and summaries reduce those buffers in index order.
+Every experiment is its own input checks, a per-replicate ``worker(i)`` and
+its own summary over one shared path: replicate i draws from a stream seeded
+by ``derive_seed(master_seed, i)``, workers write into index-i slots, the
+slots become named float64 columns in index order, and one builder times the
+run, writes the optional per-replicate CSV and assembles the report.
 Reports therefore depend only on the arguments, never on thread count or
 scheduling; ``threads`` and wall time are execution details and stay out of
 the config echo.
@@ -37,7 +39,7 @@ from .models import (
     sample_planted_submatrix,
     sample_two_block,
 )
-from .ranking import TiePolicy, rank_transform, whiten
+from .ranking import RankMatrix, TiePolicy, rank_transform, whiten
 from .rng import derive_seed
 from .spectra import (
     esd_from_eigenvalues,
@@ -84,10 +86,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"experiment must be one of {_EXPERIMENTS}, got {self.experiment!r}"
             )
-        if self.n < 3:
-            raise ValueError(f"n must be >= 3, got {self.n}")
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+        _check_sizes(self.n, self.replicates)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.threads < 1:
@@ -188,21 +187,58 @@ def _run_indexed(worker: Callable[[int], tuple], count: int, threads: int) -> li
         except Exception as exc:
             raise ExperimentError(f"replicate {i} failed: {exc}") from exc
 
-    results: list[tuple] = [()] * count
     if threads <= 1:
-        for i in range(count):
-            results[i] = guarded(i)
-        return results
+        return [guarded(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(guarded, i): i for i in range(count)}
-        for future, i in futures.items():
-            results[i] = future.result()
-    return results
+        return list(pool.map(guarded, range(count)))
 
 
-def _columns(results: list[tuple]) -> list[np.ndarray]:
-    width = len(results[0])
-    return [np.array([row[c] for row in results], dtype=np.float64) for c in range(width)]
+def _replicate_columns(
+    names: Sequence[str], worker: Callable[[int], tuple], count: int, threads: int
+) -> dict[str, np.ndarray]:
+    """Replicates 0..count-1 of ``worker`` as one float64 column per name."""
+    rows = _run_indexed(worker, count, threads)
+    return {
+        name: np.array([row[c] for row in rows], dtype=np.float64)
+        for c, name in enumerate(names)
+    }
+
+
+def _report(
+    config: dict,
+    summary: dict,
+    arrays: dict[str, np.ndarray],
+    start: float,
+    dump_path: str | Path | None = None,
+) -> ExperimentReport:
+    """Report timed from ``start``; first writes ``replicate,<arrays>`` CSV to ``dump_path``."""
+    if dump_path is not None:
+        count = len(next(iter(arrays.values())))
+        write_csv(
+            dump_path,
+            ["replicate", *arrays],
+            [np.arange(count, dtype=np.float64), *arrays.values()],
+        )
+    return ExperimentReport(
+        config=config,
+        summary=summary,
+        elapsed_s=time.perf_counter() - start,
+        replicates_path=None if dump_path is None else str(dump_path),
+        arrays=arrays,
+    )
+
+
+def _check_sizes(n: int, replicates: int) -> None:
+    if n < 3:
+        raise ValueError(f"n must be >= 3, got {n}")
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
+
+
+def _ranked_null(n: int, seed_r: int) -> RankMatrix:
+    """The Uniform(0, 1) null drawn from ``seed_r``, ranked with ties broken from (seed_r, 1)."""
+    matrix = sample_homogeneous(n, Uniform(0.0, 1.0), seed_r)
+    return rank_transform(matrix, TiePolicy.random(derive_seed(seed_r, 1)))
 
 
 def _ks_to_standard_normal(values: np.ndarray) -> float:
@@ -213,7 +249,8 @@ def _ks_to_standard_normal(values: np.ndarray) -> float:
     return max(float(np.max(cdf - grid / n)), float(np.max((grid + 1.0) / n - cdf)))
 
 
-def _moment_summary(values: np.ndarray) -> dict:
+def moment_summary(values: np.ndarray) -> dict:
+    """Count, mean, variance, skewness and KS distance to N(0, 1) of ``values``."""
     vals = np.asarray(values, dtype=np.float64)
     mean = float(vals.mean())
     variance = float(vals.var(ddof=1)) if vals.shape[0] > 1 else 0.0
@@ -241,7 +278,8 @@ def normal_qq_points(values: np.ndarray) -> list[list[float]]:
     return [[float(e), float(t)] for e, t in zip(empirical, theoretical)]
 
 
-def _write_csv(path: str | Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """Write columns as CSV; integral floats are written as integers."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -256,6 +294,22 @@ def _csv_cell(x) -> str:
     return repr(int(f)) if f.is_integer() and abs(f) < 2**53 else repr(f)
 
 
+def write_histogram_csv(path: str | Path, summary: ESDSummary) -> None:
+    """The spectral histogram as ``bin_left,bin_right,mass`` rows."""
+    edges = summary.bin_edges
+    write_csv(path, ["bin_left", "bin_right", "mass"], [edges[:-1], edges[1:], summary.masses])
+
+
+def write_qq_csv(path: str | Path, values: np.ndarray) -> None:
+    """Normal QQ points of ``values`` as ``percentile,empirical_quantile,normal_quantile``."""
+    qq = normal_qq_points(values)
+    write_csv(
+        path,
+        ["percentile", "empirical_quantile", "normal_quantile"],
+        [np.arange(1, 100, dtype=np.float64), [p[0] for p in qq], [p[1] for p in qq]],
+    )
+
+
 def rejection_rate_experiment(
     config: ExperimentConfig, dump_path: str | Path | None = None
 ) -> ExperimentReport:
@@ -268,54 +322,32 @@ def rejection_rate_experiment(
     """
     config.validate()
     start = time.perf_counter()
-    n, alpha = config.n, config.alpha
+    n = config.n
     f1 = parse_distribution(config.f1)
     f2 = parse_distribution(config.f2) if config.f2 is not None else None
-    experiment = config.experiment
-    n1 = config.n1
 
     def worker(i: int) -> tuple:
         seed_r = derive_seed(config.master_seed, i)
-        if experiment == "homogeneous":
+        if config.experiment == "homogeneous":
             matrix = sample_homogeneous(n, f1, seed_r)
-        elif experiment == "two_block":
+        elif config.experiment == "two_block":
             matrix, _ = sample_two_block(n, f1, f2, seed_r)
         else:
-            matrix, _ = sample_planted_submatrix(n, n1, f1, f2, seed_r)
-        res = run_test(matrix, alpha=alpha, policy=TiePolicy.random(derive_seed(seed_r, 1)))
+            matrix, _ = sample_planted_submatrix(n, config.n1, f1, f2, seed_r)
+        policy = TiePolicy.random(derive_seed(seed_r, 1))
+        res = run_test(matrix, alpha=config.alpha, policy=policy)
         return res.t_stat, res.p_value, 1.0 if res.reject else 0.0, res.u1_dot_uhat
 
-    t_stat, p_value, rejected, overlap = _columns(
-        _run_indexed(worker, config.replicates, config.threads)
+    arrays = _replicate_columns(
+        ("t_stat", "p_value", "reject", "u1_dot_uhat"), worker, config.replicates, config.threads
     )
-    arrays = {
-        "t_stat": t_stat,
-        "p_value": p_value,
-        "reject": rejected,
-        "u1_dot_uhat": overlap,
-    }
-    rejections = int(rejected.sum())
+    rejections = int(arrays["reject"].sum())
     summary = {
         "rejections": rejections,
         "rejection_rate": rejections / config.replicates,
-        "t_stat": _moment_summary(t_stat),
+        "t_stat": moment_summary(arrays["t_stat"]),
     }
-    replicates_path = None
-    if dump_path is not None:
-        index = np.arange(config.replicates, dtype=np.float64)
-        _write_csv(
-            dump_path,
-            ["replicate", "t_stat", "p_value", "reject", "u1_dot_uhat"],
-            [index, t_stat, p_value, rejected, overlap],
-        )
-        replicates_path = str(dump_path)
-    return ExperimentReport(
-        config=config.to_dict(),
-        summary=summary,
-        elapsed_s=time.perf_counter() - start,
-        replicates_path=replicates_path,
-        arrays=arrays,
-    )
+    return _report(config.to_dict(), summary, arrays, start, dump_path)
 
 
 def null_distribution_experiment(
@@ -336,52 +368,30 @@ def null_distribution_experiment(
     """
     if which not in ("eigenvalue", "eigenvector"):
         raise ValueError(f"which must be 'eigenvalue' or 'eigenvector', got {which!r}")
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    _check_sizes(n, replicates)
     start = time.perf_counter()
 
     def worker(i: int) -> tuple:
-        seed_r = derive_seed(seed, i)
-        matrix = sample_homogeneous(n, Uniform(0.0, 1.0), seed_r)
-        ranked = rank_transform(matrix, TiePolicy.random(derive_seed(seed_r, 1)))
-        pair = leading_eigenpair(ranked)
+        pair = leading_eigenpair(_ranked_null(n, derive_seed(seed, i)))
         return (
             pair.value,
             eigenvalue_statistic(pair.value, n),
             eigenvector_statistic(pair.vector, n),
         )
 
-    lambda1, t_stat, vec_stat = _columns(_run_indexed(worker, replicates, threads))
-    chosen = t_stat if which == "eigenvalue" else vec_stat
-    summary = {
-        "which": which,
-        **_moment_summary(chosen),
-        "qq": normal_qq_points(chosen),
-    }
-    replicates_path = None
-    if dump_path is not None:
-        index = np.arange(replicates, dtype=np.float64)
-        _write_csv(
-            dump_path,
-            ["replicate", "lambda1", "eigenvalue_stat", "eigenvector_stat"],
-            [index, lambda1, t_stat, vec_stat],
-        )
-        replicates_path = str(dump_path)
-    return ExperimentReport(
-        config={
-            "experiment": "null_distribution",
-            "n": n,
-            "replicates": replicates,
-            "which": which,
-            "master_seed": seed,
-        },
-        summary=summary,
-        elapsed_s=time.perf_counter() - start,
-        replicates_path=replicates_path,
-        arrays={"lambda1": lambda1, "eigenvalue_stat": t_stat, "eigenvector_stat": vec_stat},
+    arrays = _replicate_columns(
+        ("lambda1", "eigenvalue_stat", "eigenvector_stat"), worker, replicates, threads
     )
+    chosen = arrays[f"{which}_stat"]
+    summary = {"which": which, **moment_summary(chosen), "qq": normal_qq_points(chosen)}
+    config = {
+        "experiment": "null_distribution",
+        "n": n,
+        "replicates": replicates,
+        "which": which,
+        "master_seed": seed,
+    }
+    return _report(config, summary, arrays, start, dump_path)
 
 
 def variance_transition_experiment(
@@ -412,28 +422,25 @@ def variance_transition_experiment(
         matrix = sample_interpolated_rank(n, k, derive_seed(seed, i))
         return (leading_eigenpair(matrix).value,)
 
-    (flat,) = _columns(_run_indexed(worker, len(k_values) * replicates, threads))
-    lambda1 = flat.reshape(len(k_values), replicates)
+    flat = _replicate_columns(("lambda1",), worker, len(k_values) * replicates, threads)
+    lambda1 = flat["lambda1"].reshape(len(k_values), replicates)
+    labels = ["inf" if math.isinf(k) else int(k) for k in k_values]
     rows = [
         {
-            "k": "inf" if math.isinf(k) else int(k),
+            "k": label,
             "mean_lambda1": float(cell.mean()),
             "var_lambda1": float(cell.var(ddof=1)),
         }
-        for k, cell in zip(k_values, lambda1)
+        for label, cell in zip(labels, lambda1)
     ]
-    return ExperimentReport(
-        config={
-            "experiment": "variance_transition",
-            "n": n,
-            "k_list": ["inf" if math.isinf(k) else int(k) for k in k_values],
-            "replicates": replicates,
-            "master_seed": seed,
-        },
-        summary={"rows": rows},
-        elapsed_s=time.perf_counter() - start,
-        arrays={"lambda1": lambda1},
-    )
+    config = {
+        "experiment": "variance_transition",
+        "n": n,
+        "k_list": labels,
+        "replicates": replicates,
+        "master_seed": seed,
+    }
+    return _report(config, {"rows": rows}, {"lambda1": lambda1}, start)
 
 
 def semicircle_experiment(n: int, bins: int, seed: int) -> tuple[ESDSummary, ExperimentReport]:
@@ -441,22 +448,20 @@ def semicircle_experiment(n: int, bins: int, seed: int) -> tuple[ESDSummary, Exp
     start = time.perf_counter()
     matrix = sample_homogeneous(n, Uniform(0.0, 1.0), derive_seed(seed, 0))
     ranked = rank_transform(matrix, TiePolicy.random(derive_seed(seed, 1)))
-    eigs = full_spectrum(whiten(ranked))
-    scaled = eigs / math.sqrt(n)
+    scaled = full_spectrum(whiten(ranked)) / math.sqrt(n)
     summary = esd_from_eigenvalues(scaled, bins)
-    edge = max(abs(float(scaled[0])), abs(float(scaled[-1])))
-    report = ExperimentReport(
+    report = _report(
         config={"experiment": "semicircle", "n": n, "bins": bins, "master_seed": seed},
         summary={
             "ks_to_semicircle": summary.ks_to_semicircle,
-            "scaled_operator_norm": edge,
+            "scaled_operator_norm": max(abs(float(scaled[0])), abs(float(scaled[-1]))),
         },
-        elapsed_s=time.perf_counter() - start,
         arrays={
             "scaled_eigenvalues": scaled,
             "bin_edges": summary.bin_edges,
             "masses": summary.masses,
         },
+        start=start,
     )
     return summary, report
 
@@ -468,43 +473,34 @@ def operator_norm_tail_experiment(
 
     The centered rank matrix has no spiked eigenvalue, which is the worst
     case for power iteration, so each norm is read off the dense spectrum
-    instead (max |eigenvalue|); the two routes are verified to agree
-    elsewhere to 1e-8.
+    instead (max |eigenvalue|).
     """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    _check_sizes(n, replicates)
     start = time.perf_counter()
     threshold = 6.0 * math.sqrt(n)
 
     def worker(i: int) -> tuple:
-        seed_r = derive_seed(seed, i)
-        matrix = sample_homogeneous(n, Uniform(0.0, 1.0), seed_r)
-        ranked = rank_transform(matrix, TiePolicy.random(derive_seed(seed_r, 1)))
-        centered = SymmetricMatrix(n, ranked.values - 0.5)
-        eigs = full_spectrum(centered)
+        ranked = _ranked_null(n, derive_seed(seed, i))
+        eigs = full_spectrum(SymmetricMatrix(n, ranked.values - 0.5))
         return (max(abs(float(eigs[0])), abs(float(eigs[-1]))),)
 
-    (norms,) = _columns(_run_indexed(worker, replicates, threads))
+    arrays = _replicate_columns(("norm",), worker, replicates, threads)
+    norms = arrays["norm"]
     exceedances = int(np.count_nonzero(norms >= threshold))
-    return ExperimentReport(
-        config={
-            "experiment": "operator_norm_tail",
-            "n": n,
-            "replicates": replicates,
-            "master_seed": seed,
-        },
-        summary={
-            "threshold": threshold,
-            "exceedances": exceedances,
-            "frequency": exceedances / replicates,
-            "max_norm": float(norms.max()),
-            "max_norm_over_sqrt_n": float(norms.max()) / math.sqrt(n),
-        },
-        elapsed_s=time.perf_counter() - start,
-        arrays={"norm": norms},
-    )
+    summary = {
+        "threshold": threshold,
+        "exceedances": exceedances,
+        "frequency": exceedances / replicates,
+        "max_norm": float(norms.max()),
+        "max_norm_over_sqrt_n": float(norms.max()) / math.sqrt(n),
+    }
+    config = {
+        "experiment": "operator_norm_tail",
+        "n": n,
+        "replicates": replicates,
+        "master_seed": seed,
+    }
+    return _report(config, summary, arrays, start)
 
 
 def fk_comparison_experiment(
@@ -518,10 +514,7 @@ def fk_comparison_experiment(
     eigenvector statistic uses the same standardization as the rank case,
     whose first-order asymptotics it shares.
     """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    _check_sizes(n, replicates)
     start = time.perf_counter()
     centering = (n - 1) / 2.0 + 1.0 / 6.0
     scale = math.sqrt(1.0 / 6.0)
@@ -535,26 +528,24 @@ def fk_comparison_experiment(
             eigenvector_statistic(pair.vector, n),
         )
 
-    lambda1, fk_stat, vec_stat = _columns(_run_indexed(worker, replicates, threads))
-    summary = {
-        "fk_statistic": {**_moment_summary(fk_stat), "qq": normal_qq_points(fk_stat)},
-        "eigenvector_statistic": {
-            **_moment_summary(vec_stat),
-            "qq": normal_qq_points(vec_stat),
-        },
-        "mean_lambda1_over_n": float(lambda1.mean()) / n,
-    }
-    return ExperimentReport(
-        config={
-            "experiment": "fk_comparison",
-            "n": n,
-            "replicates": replicates,
-            "master_seed": seed,
-        },
-        summary=summary,
-        elapsed_s=time.perf_counter() - start,
-        arrays={"lambda1": lambda1, "fk_stat": fk_stat, "eigenvector_stat": vec_stat},
+    arrays = _replicate_columns(
+        ("lambda1", "fk_stat", "eigenvector_stat"), worker, replicates, threads
     )
+    summary = {
+        name: {**moment_summary(arrays[key]), "qq": normal_qq_points(arrays[key])}
+        for name, key in (
+            ("fk_statistic", "fk_stat"),
+            ("eigenvector_statistic", "eigenvector_stat"),
+        )
+    }
+    summary["mean_lambda1_over_n"] = float(arrays["lambda1"].mean()) / n
+    config = {
+        "experiment": "fk_comparison",
+        "n": n,
+        "replicates": replicates,
+        "master_seed": seed,
+    }
+    return _report(config, summary, arrays, start)
 
 
 def subspace_recovery_ratio_experiment(
@@ -576,10 +567,7 @@ def subspace_recovery_ratio_experiment(
         raise ValueError("mu must be nonzero (no spike to recover at mu=0)")
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    _check_sizes(n, replicates)
     start = time.perf_counter()
     dist = Normal(mu, sigma)
     u1 = np.full(n, 1.0 / math.sqrt(n))
@@ -595,27 +583,24 @@ def subspace_recovery_ratio_experiment(
             subspace_distance_sq(rank_pair.vector, u1),
         )
 
-    raw_dist, rank_dist = _columns(_run_indexed(worker, replicates, threads))
-    mean_raw = float(raw_dist.mean())
-    mean_rank = float(rank_dist.mean())
-    return ExperimentReport(
-        config={
-            "experiment": "subspace_recovery_ratio",
-            "n": n,
-            "mu": mu,
-            "sigma": sigma,
-            "replicates": replicates,
-            "master_seed": seed,
-        },
-        summary={
-            "mean_dist_raw": mean_raw,
-            "mean_dist_rank": mean_rank,
-            "ratio": mean_rank / mean_raw,
-            "limit": mu * mu / (3.0 * sigma * sigma),
-        },
-        elapsed_s=time.perf_counter() - start,
-        arrays={"dist_raw": raw_dist, "dist_rank": rank_dist},
-    )
+    arrays = _replicate_columns(("dist_raw", "dist_rank"), worker, replicates, threads)
+    mean_raw = float(arrays["dist_raw"].mean())
+    mean_rank = float(arrays["dist_rank"].mean())
+    summary = {
+        "mean_dist_raw": mean_raw,
+        "mean_dist_rank": mean_rank,
+        "ratio": mean_rank / mean_raw,
+        "limit": mu * mu / (3.0 * sigma * sigma),
+    }
+    config = {
+        "experiment": "subspace_recovery_ratio",
+        "n": n,
+        "mu": mu,
+        "sigma": sigma,
+        "replicates": replicates,
+        "master_seed": seed,
+    }
+    return _report(config, summary, arrays, start)
 
 
 def eigen_relationship_experiment(
@@ -639,19 +624,13 @@ def eigen_relationship_experiment(
 
     def worker(i: int) -> tuple:
         n = ns[i // replicates]
-        seed_r = derive_seed(seed, i)
-        matrix = sample_homogeneous(n, Uniform(0.0, 1.0), seed_r)
-        ranked = rank_transform(matrix, TiePolicy.random(derive_seed(seed_r, 1)))
-        pair = leading_eigenpair(ranked)
+        pair = leading_eigenpair(_ranked_null(n, derive_seed(seed, i)))
         overlap = float(pair.vector.sum()) / math.sqrt(n)
         residual = abs(overlap - (-pair.value / (n - 1) + 1.5))
         return residual, overlap
 
-    residual_flat, overlap_flat = _columns(
-        _run_indexed(worker, len(ns) * replicates, threads)
-    )
-    residual = residual_flat.reshape(len(ns), replicates)
-    overlap = overlap_flat.reshape(len(ns), replicates)
+    flat = _replicate_columns(("residual", "overlap"), worker, len(ns) * replicates, threads)
+    arrays = {name: column.reshape(len(ns), replicates) for name, column in flat.items()}
     rows = [
         {
             "n": n,
@@ -660,16 +639,12 @@ def eigen_relationship_experiment(
             "min_overlap": float(ov.min()),
             "max_overlap": float(ov.max()),
         }
-        for n, res, ov in zip(ns, residual, overlap)
+        for n, res, ov in zip(ns, arrays["residual"], arrays["overlap"])
     ]
-    return ExperimentReport(
-        config={
-            "experiment": "eigen_relationship",
-            "n_list": ns,
-            "replicates": replicates,
-            "master_seed": seed,
-        },
-        summary={"rows": rows},
-        elapsed_s=time.perf_counter() - start,
-        arrays={"residual": residual, "overlap": overlap},
-    )
+    config = {
+        "experiment": "eigen_relationship",
+        "n_list": ns,
+        "replicates": replicates,
+        "master_seed": seed,
+    }
+    return _report(config, {"rows": rows}, arrays, start)

@@ -10,26 +10,26 @@ for a full one.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
 from pathlib import Path
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Callable
 
 from .experiments import (
     ExperimentConfig,
     TABLE_REPLICATES,
     QQ_REPLICATES,
     VARIANCE_REPLICATES,
-    _moment_summary,
-    _write_csv,
-    normal_qq_points,
+    moment_summary,
     null_distribution_experiment,
     rejection_rate_experiment,
     semicircle_experiment,
     variance_transition_experiment,
+    write_csv,
+    write_histogram_csv,
+    write_qq_csv,
 )
 from .rng import derive_seed
 
@@ -65,6 +65,12 @@ _TABLE3_ROWS: list[tuple[str, dict[int, int], Callable[[int], str], Callable[[in
     ("k", {2000: 780, 4000: 1400}, lambda n: "normal(1,1)", lambda n: f"normal(1,{_SQRT2})"),
 ]
 
+# Rejection-rate tables: target -> (model, rows, config fields echoed as columns).
+_RATE_TABLES = {
+    "table2": ("two_block", _TABLE2_ROWS, ("n", "f1", "f2", "replicates")),
+    "table3": ("planted", _TABLE3_ROWS, ("n", "n1", "f1", "f2", "replicates")),
+}
+
 
 def table1_k_grid(n: int) -> list[tuple[str, float]]:
     """The interpolation grid k in {0, n, n^{3/2}, N, inf} with row labels."""
@@ -96,13 +102,9 @@ def reproduce_target(
         raise ValueError(f"unknown target {target!r}; expected one of {TARGETS}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    driver = {
-        "table1": _reproduce_table1,
-        "table2": _reproduce_table2,
-        "table3": _reproduce_table3,
-        "fig1": _reproduce_fig1,
-        "fig2": _reproduce_fig2,
-    }[target]
+    if target in _RATE_TABLES:
+        return _rate_table(target, seed, out, scale, threads)
+    driver = {"table1": _reproduce_table1, "fig1": _reproduce_fig1, "fig2": _reproduce_fig2}[target]
     return driver(seed, out, scale, threads)
 
 
@@ -132,10 +134,9 @@ def _reproduce_table1(seed: int, out: Path, scale: float, threads: int) -> list[
         )
         variances[n] = [row["var_lambda1"] for row in report.summary["rows"]]
         cells[str(n)] = report.to_dict()
-    label_col = np.array(labels, dtype=object)
-    columns = [label_col] + [np.array(variances[n]) for n in _TABLE1_NS]
+    columns = [labels] + [variances[n] for n in _TABLE1_NS]
     csv_path = out / "table1.csv"
-    _write_csv(csv_path, ["k"] + [f"var_n{n}" for n in _TABLE1_NS], columns)
+    write_csv(csv_path, ["k"] + [f"var_n{n}" for n in _TABLE1_NS], columns)
     json_path = out / "table1.json"
     _write_json(
         json_path,
@@ -148,38 +149,35 @@ def _reproduce_table1(seed: int, out: Path, scale: float, threads: int) -> list[
     return [csv_path, json_path]
 
 
-def _rate_table(
-    name: str,
-    rows: Sequence[tuple],
-    make_config: Callable[[tuple, int, int, int], ExperimentConfig],
-    header: list[str],
-    row_fields: Callable[[tuple, int, ExperimentConfig, dict], list],
-    seed: int,
-    out: Path,
-    scale: float,
-    threads: int,
-) -> list[Path]:
+def _rate_table(target: str, seed: int, out: Path, scale: float, threads: int) -> list[Path]:
+    experiment, rows, fields = _RATE_TABLES[target]
     replicates = _effective(TABLE_REPLICATES, scale)
     start = time.perf_counter()
     csv_rows: list[list] = []
     detail: list[dict] = []
-    cell = 0
-    for row in rows:
-        for n in (2000, 4000):
-            config = make_config(row, n, replicates, derive_seed(seed, cell))
-            config.threads = threads
-            report = rejection_rate_experiment(config)
-            csv_rows.append(row_fields(row, n, config, report.summary))
-            detail.append(report.to_dict())
-            cell += 1
-    columns = [np.array([r[c] for r in csv_rows], dtype=object) for c in range(len(header))]
-    csv_path = out / f"{name}.csv"
-    _write_csv(csv_path, header, columns)
-    json_path = out / f"{name}.json"
+    for cell, (row, n) in enumerate(itertools.product(rows, (2000, 4000))):
+        label, *n1_of, f1_of, f2_of = row  # planted rows carry an n1 table
+        config = ExperimentConfig(
+            experiment=experiment,
+            n=n,
+            replicates=replicates,
+            master_seed=derive_seed(seed, cell),
+            f1=f1_of(n),
+            f2=f2_of(n),
+            n1=n1_of[0][n] if n1_of else None,
+            threads=threads,
+        )
+        report = rejection_rate_experiment(config)
+        echo = [report.config[field] for field in fields]
+        csv_rows.append([label, *echo, report.summary["rejection_rate"]])
+        detail.append(report.to_dict())
+    csv_path = out / f"{target}.csv"
+    write_csv(csv_path, ["row", *fields, "rejection_rate"], list(zip(*csv_rows)))
+    json_path = out / f"{target}.json"
     _write_json(
         json_path,
         {
-            **_meta(name, seed, scale, replicates),
+            **_meta(target, seed, scale, replicates),
             "cells": detail,
             "elapsed_s": time.perf_counter() - start,
         },
@@ -187,79 +185,10 @@ def _rate_table(
     return [csv_path, json_path]
 
 
-def _reproduce_table2(seed: int, out: Path, scale: float, threads: int) -> list[Path]:
-    def make_config(row, n, replicates, master) -> ExperimentConfig:
-        label, f1_of, f2_of = row
-        return ExperimentConfig(
-            experiment="two_block",
-            n=n,
-            replicates=replicates,
-            master_seed=master,
-            f1=f1_of(n),
-            f2=f2_of(n),
-        )
-
-    def row_fields(row, n, config, summary) -> list:
-        return [row[0], n, config.f1, config.f2, config.replicates, summary["rejection_rate"]]
-
-    return _rate_table(
-        "table2",
-        _TABLE2_ROWS,
-        make_config,
-        ["row", "n", "f1", "f2", "replicates", "rejection_rate"],
-        row_fields,
-        seed,
-        out,
-        scale,
-        threads,
-    )
-
-
-def _reproduce_table3(seed: int, out: Path, scale: float, threads: int) -> list[Path]:
-    def make_config(row, n, replicates, master) -> ExperimentConfig:
-        label, n1_of, f1_of, f2_of = row
-        return ExperimentConfig(
-            experiment="planted",
-            n=n,
-            replicates=replicates,
-            master_seed=master,
-            f1=f1_of(n),
-            f2=f2_of(n),
-            n1=n1_of[n],
-        )
-
-    def row_fields(row, n, config, summary) -> list:
-        return [
-            row[0],
-            n,
-            config.n1,
-            config.f1,
-            config.f2,
-            config.replicates,
-            summary["rejection_rate"],
-        ]
-
-    return _rate_table(
-        "table3",
-        _TABLE3_ROWS,
-        make_config,
-        ["row", "n", "n1", "f1", "f2", "replicates", "rejection_rate"],
-        row_fields,
-        seed,
-        out,
-        scale,
-        threads,
-    )
-
-
 def _reproduce_fig1(seed: int, out: Path, scale: float, threads: int) -> list[Path]:
     summary, report = semicircle_experiment(n=3000, bins=80, seed=seed)
     csv_path = out / "fig1_histogram.csv"
-    _write_csv(
-        csv_path,
-        ["bin_left", "bin_right", "mass"],
-        [summary.bin_edges[:-1], summary.bin_edges[1:], summary.masses],
-    )
+    write_histogram_csv(csv_path, summary)
     json_path = out / "fig1.json"
     _write_json(
         json_path,
@@ -280,22 +209,13 @@ def _reproduce_fig2(seed: int, out: Path, scale: float, threads: int) -> list[Pa
         n=2000, replicates=replicates, seed=seed, which="eigenvalue", threads=threads
     )
     paths = []
-    percentiles = np.arange(1, 100, dtype=np.float64)
     summaries: dict[str, dict] = {}
-    for which, key in (("eigenvalue", "eigenvalue_stat"), ("eigenvector", "eigenvector_stat")):
-        qq = normal_qq_points(report.arrays[key])
+    for which in ("eigenvalue", "eigenvector"):
+        values = report.arrays[f"{which}_stat"]
         csv_path = out / f"fig2_{which}_qq.csv"
-        _write_csv(
-            csv_path,
-            ["percentile", "empirical_quantile", "normal_quantile"],
-            [
-                percentiles,
-                np.array([p[0] for p in qq]),
-                np.array([p[1] for p in qq]),
-            ],
-        )
+        write_qq_csv(csv_path, values)
         paths.append(csv_path)
-        summaries[which] = _moment_summary(report.arrays[key])
+        summaries[which] = moment_summary(values)
     json_path = out / "fig2.json"
     _write_json(
         json_path,

@@ -1,10 +1,10 @@
 """Eigenvalue solvers and spectral summaries for packed symmetric matrices.
 
 Two routes to the spectrum are kept deliberately independent so they can
-cross-check each other: power iterations running directly on the packed
-storage via BLAS ``dspmv`` (:func:`leading_eigenpair`, :func:`operator_norm`),
-and the dense LAPACK path (:func:`full_spectrum`, Householder
-tridiagonalization plus implicit-shift QL via ``dsyev``).
+cross-check each other: power iteration running directly on the packed
+storage via BLAS ``dspmv`` (:func:`leading_eigenpair`), and the dense LAPACK
+path (:func:`full_spectrum`, Householder tridiagonalization plus
+implicit-shift QL via ``dsyev``).
 """
 
 from __future__ import annotations
@@ -193,57 +193,6 @@ def full_spectrum(matrix: SymmetricMatrix, max_n: int = FULL_SPECTRUM_CAP) -> np
     return eigs[::-1]
 
 
-def operator_norm(
-    matrix: SymmetricMatrix,
-    tol: float = 1e-13,
-    max_iter: int = 500_000,
-) -> float:
-    """Spectral norm max(|lambda_max|, |lambda_min|) by shifted power iteration.
-
-    Runs two power iterations on the positive semidefinite shifts M + sI
-    and sI - M with s = n * max|entry|, which bounds the spectrum by
-    Gershgorin's theorem. Each pass terminates when the relative change of
-    the shifted Rayleigh quotient stays below ``tol`` on two consecutive
-    iterations. Convergence is slow when eigenvalues cluster at the edge
-    (centered rank matrices are the worst case); prefer
-    :func:`full_spectrum` when the dense solve is affordable.
-    """
-    amax = float(np.abs(matrix.values).max(initial=0.0))
-    if amax == 0.0:
-        return 0.0
-    n = matrix.n
-    shift = n * amax
-    ap = _packed_blas(matrix)
-    lam_max = _shifted_power(ap, n, shift, +1.0, tol, max_iter)
-    lam_min = -_shifted_power(ap, n, shift, -1.0, tol, max_iter)
-    return max(abs(lam_max), abs(lam_min))
-
-
-def _shifted_power(
-    ap: np.ndarray, n: int, shift: float, sign: float, tol: float, max_iter: int
-) -> float:
-    """Dominant eigenvalue of sign*M + shift*I, minus the shift."""
-    v = make_generator(_RESTART_SEED).standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam_prev = math.inf
-    streak = 0
-    for _ in range(max_iter):
-        w = dspmv(n, sign, ap, v)
-        w += shift * v
-        lam = float(v @ w)
-        streak = streak + 1 if abs(lam - lam_prev) <= tol * abs(lam) else 0
-        lam_prev = lam
-        if streak >= 2:
-            return lam - shift
-        wnorm = float(np.linalg.norm(w))
-        if wnorm == 0.0:
-            return -shift
-        v = w / wnorm
-    raise ConvergenceError(
-        f"shifted power iteration: no convergence in {max_iter} iterations (tol={tol})"
-    )
-
-
 def semicircle_cdf(x):
     """CDF of the semicircle distribution on [-2, 2].
 
@@ -268,16 +217,6 @@ class ESDSummary:
     bin_edges: np.ndarray
     masses: np.ndarray
     ks_to_semicircle: float
-
-
-def esd(matrix: SymmetricMatrix, bins: int = 80) -> ESDSummary:
-    """Empirical spectral distribution of n^{-1/2} * matrix.
-
-    For a whitened rank matrix this converges to the semicircle law on
-    [-2, 2]; the histogram range [-2.5, 2.5] leaves the edges visible.
-    """
-    eigs = full_spectrum(matrix) / math.sqrt(matrix.n)
-    return esd_from_eigenvalues(eigs, bins)
 
 
 def esd_from_eigenvalues(scaled_eigenvalues: np.ndarray, bins: int = 80) -> ESDSummary:

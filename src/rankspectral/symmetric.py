@@ -210,10 +210,11 @@ class MatrixSource:
 def load_matrix(source: MatrixSource | str | Path, format: str = "dense-csv") -> SymmetricMatrix:
     """Read a :class:`SymmetricMatrix` from a file or stream.
 
-    A file of plain numeric text is parsed in one vectorized pass. Whatever
-    that pass declines is read again line by line, and the line reader's
-    result or line-numbered error stands, so the two routes accept the same
-    inputs and word every error alike. A stream is read line by line.
+    A file of plain numeric text, with LF, CRLF or CR line ends, is parsed in
+    one vectorized pass. Whatever that pass declines is read again line by
+    line, and the line reader's result or line-numbered error stands, so the
+    two routes accept the same inputs and word every error alike. A stream
+    is read line by line.
 
     Parameters
     ----------
@@ -316,6 +317,8 @@ def _parse_fast(format: str, data: bytes) -> SymmetricMatrix | None:
     for the same text. No error is raised from here: wording errors is left
     to the line parser.
     """
+    if b"\r" in data:  # text mode's newline translation, so lines split alike
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     plain = _PLAIN_BYTES + b"," if format == "dense-csv" else _PLAIN_BYTES
     if not data or data.isspace() or data.translate(None, plain):
         return None

@@ -386,3 +386,50 @@ def test_normal_qq_points_gaussian_input():
     points = normal_qq_points(rng.standard_normal(20_000))
     diffs = [abs(e - t) for e, t in points]
     assert max(diffs) < 0.1
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(
+            lambda threads: null_distribution_experiment(
+                n=15, replicates=8, seed=2, which="eigenvector", threads=threads
+            ),
+            id="null_distribution",
+        ),
+        pytest.param(
+            lambda threads: variance_transition_experiment(
+                10, [0, 10, math.inf], 3, seed=3, threads=threads
+            ),
+            id="variance_transition",
+        ),
+        pytest.param(
+            lambda threads: operator_norm_tail_experiment(
+                n=12, replicates=6, seed=4, threads=threads
+            ),
+            id="operator_norm_tail",
+        ),
+        pytest.param(
+            lambda threads: fk_comparison_experiment(n=12, replicates=8, seed=5, threads=threads),
+            id="fk_comparison",
+        ),
+        pytest.param(
+            lambda threads: subspace_recovery_ratio_experiment(
+                n=12, mu=1.0, sigma=1.0, replicates=6, seed=6, threads=threads
+            ),
+            id="subspace_recovery_ratio",
+        ),
+        pytest.param(
+            lambda threads: eigen_relationship_experiment(
+                [8, 12], replicates=4, seed=7, threads=threads
+            ),
+            id="eigen_relationship",
+        ),
+    ],
+)
+def test_thread_count_invisible_in_every_experiment(run):
+    a, b = run(1), run(2)
+    assert a.to_json(include_elapsed=False) == b.to_json(include_elapsed=False)
+    assert list(a.arrays) == list(b.arrays)
+    for key in a.arrays:
+        assert a.arrays[key].tobytes() == b.arrays[key].tobytes()

@@ -10,16 +10,13 @@ from rankspectral import (
     ConvergenceError,
     EigenPair,
     SymmetricMatrix,
-    esd,
     esd_from_eigenvalues,
     expectation_matrix,
     full_spectrum,
     leading_eigenpair,
-    operator_norm,
     rank_transform,
     semicircle_cdf,
     subspace_distance_sq,
-    whiten,
 )
 from rankspectral.rng import make_generator
 
@@ -129,35 +126,6 @@ class TestFullSpectrum:
         assert full_spectrum(m)[0] == pytest.approx(leading_eigenpair(m).value, rel=1e-11)
 
 
-class TestOperatorNorm:
-    def test_zero_matrix(self):
-        assert operator_norm(SymmetricMatrix(3, np.zeros(3))) == 0.0
-
-    def test_small_cross_check(self):
-        # Mixed-sign entries exercise both shifted passes.
-        for trial in range(40):
-            n = 3 + trial % 10
-            m = random_symmetric(n, seed=500 + trial, low=-1.0, high=1.0)
-            expected = float(np.max(np.abs(np.linalg.eigvalsh(m.dense()))))
-            assert operator_norm(m) == pytest.approx(expected, rel=1e-8)
-
-    def test_negative_leading(self):
-        # Norm must pick up |lambda_min| when it dominates.
-        base = expectation_matrix(8)
-        m = SymmetricMatrix(8, -base.values)
-        assert operator_norm(m) == pytest.approx(3.5, rel=1e-10)
-
-    @pytest.mark.slow
-    def test_centered_rank_matrix_cross_check(self):
-        # Bulk-edge spectrum, the solver's hardest case; dual route must
-        # still agree with the dense solver.
-        n = 500
-        ranked = rank_values_matrix(n, 13)
-        centered = SymmetricMatrix(n, ranked.values - 0.5)
-        dense_norm = float(np.max(np.abs(full_spectrum(centered))))
-        assert operator_norm(centered, tol=1e-13) == pytest.approx(dense_norm, rel=1e-8)
-
-
 class TestSemicircleCdf:
     def test_support_endpoints(self):
         assert semicircle_cdf(-2.0) == 0.0
@@ -201,13 +169,6 @@ class TestEsd:
     def test_bins_validation(self):
         with pytest.raises(ValueError, match="bins"):
             esd_from_eigenvalues(np.zeros(3), bins=0)
-
-    def test_whitened_rank_matrix_close_to_semicircle(self):
-        w = whiten(rank_values_matrix(300, 5))
-        summary = esd(w, bins=40)
-        assert summary.ks_to_semicircle < 0.12
-        scaled_edge = full_spectrum(w)[0] / math.sqrt(300)
-        assert 1.6 < scaled_edge < 2.4
 
 
 class TestSubspaceDistance:

@@ -248,14 +248,22 @@ class TestRoundTrips:
         with pytest.raises(FileNotFoundError):
             load_matrix(tmp_path / "absent.csv")
 
-    @pytest.mark.parametrize("format", symmetric.FORMATS)
-    def test_saved_text_takes_vectorized_parse(self, format):
+    @pytest.mark.parametrize(
+        "format,newline",
+        [
+            pytest.param(fmt, newline, id=fmt + suffix)
+            for fmt in symmetric.FORMATS
+            for newline, suffix in (("\n", ""), ("\r\n", "-crlf"), ("\r", "-cr"))
+        ],
+    )
+    def test_saved_text_takes_vectorized_parse(self, format, newline):
         # The equivalence property below is only worth something if the
-        # vectorized pass accepts what save_matrix writes.
+        # vectorized pass accepts what save_matrix writes, with any line ends.
         m = random_symmetric(7, seed=9, low=-5.0, high=5.0)
         buf = io.StringIO()
         save_matrix(m, buf, format=format)
-        fast = symmetric._parse_fast(format, buf.getvalue().encode("ascii"))
+        text = buf.getvalue().replace("\n", newline)
+        fast = symmetric._parse_fast(format, text.encode("ascii"))
         assert fast is not None
         assert fast.n == m.n
         assert np.array_equal(fast.values.view(np.uint64), m.values.view(np.uint64))
