@@ -450,11 +450,12 @@ def semicircle_experiment(n: int, bins: int, seed: int) -> tuple[ESDSummary, Exp
     ranked = rank_transform(matrix, TiePolicy.random(derive_seed(seed, 1)))
     scaled = full_spectrum(whiten(ranked)) / math.sqrt(n)
     summary = esd_from_eigenvalues(scaled, bins)
+    edge = max(abs(float(scaled[0])), abs(float(scaled[-1])))
     report = _report(
         config={"experiment": "semicircle", "n": n, "bins": bins, "master_seed": seed},
         summary={
             "ks_to_semicircle": summary.ks_to_semicircle,
-            "scaled_operator_norm": max(abs(float(scaled[0])), abs(float(scaled[-1]))),
+            "scaled_operator_norm": edge,
         },
         arrays={
             "scaled_eigenvalues": scaled,
@@ -531,14 +532,15 @@ def fk_comparison_experiment(
     arrays = _replicate_columns(
         ("lambda1", "fk_stat", "eigenvector_stat"), worker, replicates, threads
     )
+    fk_stat, vec_stat = arrays["fk_stat"], arrays["eigenvector_stat"]
     summary = {
-        name: {**moment_summary(arrays[key]), "qq": normal_qq_points(arrays[key])}
-        for name, key in (
-            ("fk_statistic", "fk_stat"),
-            ("eigenvector_statistic", "eigenvector_stat"),
-        )
+        "fk_statistic": {**moment_summary(fk_stat), "qq": normal_qq_points(fk_stat)},
+        "eigenvector_statistic": {
+            **moment_summary(vec_stat),
+            "qq": normal_qq_points(vec_stat),
+        },
+        "mean_lambda1_over_n": float(arrays["lambda1"].mean()) / n,
     }
-    summary["mean_lambda1_over_n"] = float(arrays["lambda1"].mean()) / n
     config = {
         "experiment": "fk_comparison",
         "n": n,

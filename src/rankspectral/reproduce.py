@@ -10,6 +10,7 @@ for a full one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -65,13 +66,6 @@ _TABLE3_ROWS: list[tuple[str, dict[int, int], Callable[[int], str], Callable[[in
     ("k", {2000: 780, 4000: 1400}, lambda n: "normal(1,1)", lambda n: f"normal(1,{_SQRT2})"),
 ]
 
-# Rejection-rate tables: target -> (model, rows, config fields echoed as columns).
-_RATE_TABLES = {
-    "table2": ("two_block", _TABLE2_ROWS, ("n", "f1", "f2", "replicates")),
-    "table3": ("planted", _TABLE3_ROWS, ("n", "n1", "f1", "f2", "replicates")),
-}
-
-
 def table1_k_grid(n: int) -> list[tuple[str, float]]:
     """The interpolation grid k in {0, n, n^{3/2}, N, inf} with row labels."""
     n_pairs = n * (n - 1) // 2
@@ -102,10 +96,14 @@ def reproduce_target(
         raise ValueError(f"unknown target {target!r}; expected one of {TARGETS}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if target in _RATE_TABLES:
-        return _rate_table(target, seed, out, scale, threads)
-    driver = {"table1": _reproduce_table1, "fig1": _reproduce_fig1, "fig2": _reproduce_fig2}[target]
-    return driver(seed, out, scale, threads)
+    drivers = {
+        "table1": _reproduce_table1,
+        "table2": functools.partial(_rate_table, "table2", "two_block", _TABLE2_ROWS),
+        "table3": functools.partial(_rate_table, "table3", "planted", _TABLE3_ROWS),
+        "fig1": _reproduce_fig1,
+        "fig2": _reproduce_fig2,
+    }
+    return drivers[target](seed, out, scale, threads)
 
 
 def _meta(target: str, seed: int, scale: float, replicates: int) -> dict:
@@ -149,14 +147,19 @@ def _reproduce_table1(seed: int, out: Path, scale: float, threads: int) -> list[
     return [csv_path, json_path]
 
 
-def _rate_table(target: str, seed: int, out: Path, scale: float, threads: int) -> list[Path]:
-    experiment, rows, fields = _RATE_TABLES[target]
+def _rate_table(
+    target: str, experiment: str, rows: list, seed: int, out: Path, scale: float, threads: int
+) -> list[Path]:
+    """One rejection-rate table: every row at n = 2000 and 4000."""
+    fields = ["n", "f1", "f2", "replicates"]
+    if len(rows[0]) == 4:  # planted rows carry an n1 table after the label
+        fields.insert(1, "n1")
     replicates = _effective(TABLE_REPLICATES, scale)
     start = time.perf_counter()
     csv_rows: list[list] = []
     detail: list[dict] = []
     for cell, (row, n) in enumerate(itertools.product(rows, (2000, 4000))):
-        label, *n1_of, f1_of, f2_of = row  # planted rows carry an n1 table
+        label, *n1_of, f1_of, f2_of = row
         config = ExperimentConfig(
             experiment=experiment,
             n=n,

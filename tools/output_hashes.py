@@ -15,11 +15,11 @@ counts write the same dump path, so their lines must agree too. Reports echo
 the dump path, so compare two checkouts by running each against the same
 output directory:
 
-    python3 tools/output_hashes.py OUT_DIR [--targets table1 fig2 ...]
+    python3 tools/output_hashes.py OUT_DIR
 
 The package is imported from the ``src`` directory next to this script.
 The full list takes about twenty minutes on two cores, nearly all of it
-in ``reproduce``; ``--targets`` with no names skips that part.
+in ``reproduce``.
 """
 
 from __future__ import annotations
@@ -158,10 +158,6 @@ def cli_outputs(out: Path) -> list[Path]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", help="directory for the outputs; use the same one for both runs")
-    parser.add_argument(
-        "--targets", nargs="*", choices=TARGETS, default=list(TARGETS),
-        help="reproduce targets to hash (default: all)",
-    )
     args = parser.parse_args()
     out = Path(args.out_dir).resolve()
     out.mkdir(parents=True, exist_ok=True)
@@ -173,7 +169,7 @@ def main() -> int:
                 print(f"{file_hash(dump)}  dump {dump.name}")
     for path in cli_outputs(out):
         print(f"{file_hash(path)}  cli {path.relative_to(out)}")
-    for target in args.targets:
+    for target in TARGETS:
         paths = reproduce_target(
             target, seed=1, out_dir=out / "reproduce", scale=REPRODUCE_SCALE,
             threads=REPRODUCE_THREADS,
