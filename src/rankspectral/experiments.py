@@ -408,6 +408,7 @@ def variance_transition_experiment(
     """
     if replicates < 2:
         raise ValueError(f"variance needs replicates >= 2, got {replicates}")
+    _check_sizes(n, replicates)
     k_values = list(k_list)
     if not k_values:
         raise ValueError("k_list must be nonempty")

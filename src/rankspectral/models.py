@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .rng import make_generator
-from .symmetric import SymmetricMatrix, pair_indices
+from .symmetric import SymmetricMatrix
 
 
 class DistributionParseError(ValueError):
@@ -231,11 +231,10 @@ def sample_two_block(
     rng = make_generator(seed)
     labels = np.concatenate([np.ones(n // 2, dtype=np.int64), -np.ones(n - n // 2, dtype=np.int64)])
     labels = rng.permutation(labels)
-    rows, cols = pair_indices(n)
-    same = labels[rows] == labels[cols]
-    n_pairs = rows.shape[0]
+    n_pairs = n * (n - 1) // 2
     # Two parallel draws keep the stream layout independent of the labels.
-    vals = np.where(same, within.sample(n_pairs, rng), between.sample(n_pairs, rng))
+    vals = within.sample(n_pairs, rng)
+    np.copyto(vals, between.sample(n_pairs, rng), where=_pair_mask(labels, np.not_equal))
     labels.flags.writeable = False
     return SymmetricMatrix(n, vals), TwoBlockAssignment(labels)
 
@@ -262,12 +261,27 @@ def sample_planted_submatrix(
     labels = np.zeros(n, dtype=np.int64)
     labels[:n1] = 1
     labels = rng.permutation(labels)
-    rows, cols = pair_indices(n)
-    planted = (labels[rows] == 1) & (labels[cols] == 1)
-    n_pairs = rows.shape[0]
-    vals = np.where(planted, inside.sample(n_pairs, rng), background.sample(n_pairs, rng))
+    n_pairs = n * (n - 1) // 2
+    vals = inside.sample(n_pairs, rng)
+    outside = labels == 0
+    np.copyto(vals, background.sample(n_pairs, rng), where=_pair_mask(outside, np.logical_or))
     labels.flags.writeable = False
     return SymmetricMatrix(n, vals), PlantedAssignment(labels)
+
+
+def _pair_mask(labels: np.ndarray, test) -> np.ndarray:
+    """``test(labels[i], labels[j])`` for every pair i < j, in pack order.
+
+    Built row by row, so no index array of length N is needed.
+    """
+    n = labels.shape[0]
+    mask = np.empty(n * (n - 1) // 2, dtype=bool)
+    start = 0
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        test(labels[i], labels[i + 1 :], out=mask[start:stop])
+        start = stop
+    return mask
 
 
 def sample_interpolated_rank(n: int, k: float, seed: int) -> SymmetricMatrix:

@@ -17,7 +17,7 @@ from scipy.linalg import eigh
 from scipy.linalg.blas import dspmv
 
 from .rng import make_generator
-from .symmetric import SymmetricMatrix, pair_indices
+from .symmetric import SymmetricMatrix
 
 FULL_SPECTRUM_CAP = 4000
 
@@ -45,10 +45,24 @@ class EigenPair:
 
 
 def _packed_blas(matrix: SymmetricMatrix) -> np.ndarray:
-    """Upper-packed BLAS buffer: ap[j(j+1)/2 + i] = entry (i, j), i <= j."""
-    rows, cols = pair_indices(matrix.n)
-    ap = np.zeros(matrix.n * (matrix.n + 1) // 2)
-    ap[cols * (cols + 1) // 2 + rows] = matrix.values
+    """Upper-packed BLAS buffer: ap[j(j+1)/2 + i] = entry (i, j), i <= j.
+
+    Filled one column at a time: column j is the contiguous slice
+    ap[j(j+1)/2 : j(j+1)/2 + j], gathered from packed positions
+    row_base[i] + j, i < j. No index array of length N is built, and the
+    buffer is the same, bit for bit, as a scatter through pair indices.
+    The upper layout is kept on purpose: the row-major values are already
+    the lower-packed layout minus its diagonal, but ``dspmv`` sums the
+    lower layout in another order, which changes the last bits of results.
+    """
+    n = matrix.n
+    i = np.arange(n)
+    row_base = i * (2 * n - i - 1) // 2 - i - 1  # pack_index(i, j, n) - j
+    ap = np.zeros(n * (n + 1) // 2)
+    start = 0
+    for j in range(1, n):
+        start += j
+        np.take(matrix.values, row_base[:j] + j, out=ap[start : start + j])
     return ap
 
 

@@ -290,6 +290,11 @@ class TestVarianceTransitionExperiment:
         with pytest.raises(ValueError, match="invalid k"):
             variance_transition_experiment(10, [10_000], 5, seed=0)
 
+    @pytest.mark.parametrize("n", [2, 1, 0])
+    def test_small_n_is_refused_before_any_replicate(self, n):
+        with pytest.raises(ValueError, match=f"n must be >= 3, got {n}"):
+            variance_transition_experiment(n, [0, math.inf], 2, seed=0)
+
 
 class TestSemicircleExperiment:
     def test_summary_and_report(self):

@@ -24,6 +24,32 @@ from rankspectral import (
 )
 from rankspectral.models import as_distribution
 from rankspectral.rng import make_generator
+from rankspectral.symmetric import pair_indices
+
+
+def reference_two_block(n, within, between, seed):
+    """sample_two_block's values by the pair-index formulation it replaced."""
+    rng = make_generator(seed)
+    labels = np.concatenate([np.ones(n // 2, dtype=np.int64), -np.ones(n - n // 2, dtype=np.int64)])
+    labels = rng.permutation(labels)
+    rows, cols = pair_indices(n)
+    same = labels[rows] == labels[cols]
+    n_pairs = rows.shape[0]
+    first = as_distribution(within).sample(n_pairs, rng)
+    return np.where(same, first, as_distribution(between).sample(n_pairs, rng)), labels
+
+
+def reference_planted(n, n1, inside, background, seed):
+    """sample_planted_submatrix's values by the pair-index formulation it replaced."""
+    rng = make_generator(seed)
+    labels = np.zeros(n, dtype=np.int64)
+    labels[:n1] = 1
+    labels = rng.permutation(labels)
+    rows, cols = pair_indices(n)
+    planted = (labels[rows] == 1) & (labels[cols] == 1)
+    n_pairs = rows.shape[0]
+    first = as_distribution(inside).sample(n_pairs, rng)
+    return np.where(planted, first, as_distribution(background).sample(n_pairs, rng)), labels
 
 
 class TestParseDistribution:
@@ -244,6 +270,26 @@ class TestSamplePlantedSubmatrix:
         m2, a2 = sample_planted_submatrix(40, 10, "normal(2,1)", "normal(1,1)", seed=8)
         assert np.array_equal(m1.values, m2.values)
         assert np.array_equal(a1.labels, a2.labels)
+
+
+class TestRowBuiltMasks:
+    """The samplers build their block masks row by row; values stay bit-identical."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 64, 65])
+    def test_two_block_matches_pair_index_formulation(self, n):
+        for seed in (0, 9):
+            m, assign = sample_two_block(n, "normal(1,1)", "pareto(1,0.5)", seed)
+            values, labels = reference_two_block(n, "normal(1,1)", "pareto(1,0.5)", seed)
+            assert m.values.tobytes() == values.tobytes()
+            assert assign.labels.tobytes() == labels.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 64, 65])
+    def test_planted_matches_pair_index_formulation(self, n):
+        for n1 in sorted({1, 2, n // 2 or 1, n}):
+            m, assign = sample_planted_submatrix(n, n1, "normal(2,1)", "exponential(1)", n1)
+            values, labels = reference_planted(n, n1, "normal(2,1)", "exponential(1)", n1)
+            assert m.values.tobytes() == values.tobytes()
+            assert assign.labels.tobytes() == labels.tobytes()
 
 
 class TestSampleInterpolatedRank:

@@ -13,13 +13,75 @@ from rankspectral import (
     SymmetricMatrix,
     TieError,
     TiePolicy,
+    make_generator,
     moments,
     permute_nodes,
     rank_transform,
+    ranking,
     whiten,
 )
 
 from conftest import random_symmetric
+
+
+def reference_ranks(values: np.ndarray, policy: TiePolicy) -> np.ndarray:
+    """The full argsort/lexsort rank transform that the sort-key kernel replaced."""
+    n_pairs = values.shape[0]
+    order = np.argsort(values)
+    sorted_vals = values[order]
+    ties = np.flatnonzero(np.diff(sorted_vals) == 0.0)
+    if ties.size:
+        if policy.kind == "error":
+            eq = np.diff(sorted_vals) == 0.0
+            involved = np.zeros(n_pairs, dtype=bool)
+            involved[:-1] |= eq
+            involved[1:] |= eq
+            raise TieError(
+                f"{int(np.count_nonzero(involved))} tied entries (e.g. value "
+                f"{float(sorted_vals[ties[0]])!r}); pass TiePolicy.random(seed) to "
+                f"break ties at random"
+            )
+        shuffle = make_generator(policy.seed).permutation(n_pairs)
+        order = np.lexsort((shuffle, values))
+    ranks = np.empty(n_pairs, dtype=np.float64)
+    ranks[order] = np.arange(1, n_pairs + 1, dtype=np.float64)
+    ranks /= n_pairs + 1
+    return ranks
+
+
+def outcome(rank, values: np.ndarray, policy: TiePolicy):
+    """Rank bytes, or the TieError message."""
+    try:
+        return rank(values, policy).tobytes()
+    except TieError as exc:
+        return str(exc)
+
+
+def kernel_ranks(values: np.ndarray, policy: TiePolicy) -> np.ndarray:
+    n = (1 + math.isqrt(1 + 8 * values.shape[0])) // 2
+    return rank_transform(SymmetricMatrix(n, values), policy).values
+
+
+# Bases for the generated values: signed zeros, subnormals, the extremes of
+# the finite range and ordinary numbers of both signs.
+_BASES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e308, 1e308, 1.0, -3.5, 0.1)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Packed values for n in {2, 3, 4, 5, 8, 12}, full of near-collisions and ties.
+
+    Each value is a base stepped k ulps away from it, so values of one base
+    share all but their lowest bits, which is where the kernel puts the
+    pair index. Repeated (base, k) draws make exact tie groups.
+    """
+    n = draw(st.sampled_from([2, 3, 4, 5, 8, 12]))
+    n_pairs = n * (n - 1) // 2
+    bases = draw(st.lists(st.sampled_from(_BASES), min_size=1, max_size=3))
+    picks = st.tuples(st.sampled_from(bases), st.integers(0, 255))
+    drawn = draw(st.lists(picks, min_size=n_pairs, max_size=n_pairs, unique=draw(st.booleans())))
+    raw = np.array([np.float64(b).view(np.int64) + k for b, k in drawn], dtype=np.int64)
+    return raw.view(np.float64)
 
 
 class TestRankTransform:
@@ -64,6 +126,87 @@ class TestRankTransform:
         m = random_symmetric(6, seed=123)
         with_policy = rank_transform(m, TiePolicy.random(seed))
         assert np.array_equal(with_policy.values, rank_transform(m).values)
+
+
+class TestSortKeyKernel:
+    @given(kernel_inputs(), st.integers(0, 2**32))
+    def test_matches_full_sort_reference(self, values, seed):
+        for policy in (TiePolicy.error(), TiePolicy.random(seed)):
+            assert outcome(kernel_ranks, values, policy) == outcome(reference_ranks, values, policy)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @given(data=st.data())
+    def test_bit_width_boundaries(self, n, data):
+        # N = 1, 3, 6: zero index bits, then 2 and 3, each with spare codes.
+        n_pairs = n * (n - 1) // 2
+        pool = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, np.nextafter(1.0, 2.0), -1e308])
+        values = np.array(data.draw(st.lists(pool, min_size=n_pairs, max_size=n_pairs)))
+        for policy in (TiePolicy.error(), TiePolicy.random(data.draw(st.integers(0, 99)))):
+            assert outcome(kernel_ranks, values, policy) == outcome(reference_ranks, values, policy)
+
+    def test_generated_inputs_reach_collision_runs(self, monkeypatch):
+        # Non-vacuity: most generated inputs have keys that collide in their
+        # high bits, some with exact ties and some with none.
+        calls = []
+        order_runs = ranking._order_runs
+
+        def spy(a, index, policy):
+            calls.append(index.size)
+            return order_runs(a, index, policy)
+
+        monkeypatch.setattr(ranking, "_order_runs", spy)
+        seen = {"tied": 0, "tie-free": 0, "no runs": 0}
+
+        @given(kernel_inputs())
+        def probe(values):
+            before = len(calls)
+            try:
+                kernel_ranks(values, TiePolicy.error())
+                tied = False
+            except TieError:
+                tied = True
+            if len(calls) == before:
+                seen["no runs"] += 1
+            else:
+                seen["tied" if tied else "tie-free"] += 1
+
+        probe()
+        assert seen["tied"] + seen["tie-free"] >= sum(seen.values()) // 2
+        assert seen["tied"] >= 5 and seen["tie-free"] >= 5
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng, size: rng.normal(size=size),
+            lambda rng, size: rng.pareto(0.5, size=size) + 1.0,
+            lambda rng, size: rng.uniform(size=size) * 1e-300,
+            lambda rng, size: rng.integers(0, 100, size=size).astype(np.float64),
+        ],
+        ids=["normal", "pareto", "tiny", "integer-scores"],
+    )
+    def test_matches_reference_at_moderate_n(self, draw):
+        n = 700
+        values = draw(np.random.default_rng(n), n * (n - 1) // 2)
+        for policy in (TiePolicy.error(), TiePolicy.random(5)):
+            assert outcome(kernel_ranks, values, policy) == outcome(reference_ranks, values, policy)
+
+    @pytest.mark.parametrize("n", [8, 20, 40, 100])
+    def test_tie_message_names_the_zero_a_full_argsort_puts_first(self, n):
+        # np.argsort is not stable, and np.sort can order -0.0 and 0.0 the
+        # other way, so the signed zero in the message must come from argsort.
+        rng = np.random.default_rng(n)
+        n_pairs = n * (n - 1) // 2
+        for _ in range(20):
+            zeros = rng.choice([0.0, -0.0], size=n_pairs)
+            values = np.where(rng.random(n_pairs) < 0.5, zeros, rng.normal(size=n_pairs))
+            expected = outcome(reference_ranks, values, TiePolicy.error())
+            assert outcome(kernel_ranks, values, TiePolicy.error()) == expected
+
+    def test_result_is_read_only_and_owns_no_input(self):
+        m = random_symmetric(9, seed=3)
+        r = rank_transform(m)
+        assert not r.values.flags.writeable
+        assert not np.shares_memory(r.values, m.values)
 
 
 class TestTiePolicies:

@@ -18,6 +18,7 @@ from rankspectral import (
     semicircle_cdf,
     subspace_distance_sq,
 )
+from rankspectral import spectra
 from rankspectral.rng import make_generator
 
 from conftest import random_symmetric
@@ -100,6 +101,16 @@ class TestLeadingEigenpair:
         pair = leading_eigenpair(expectation_matrix(4))
         assert isinstance(pair, EigenPair)
         assert pair.iterations >= 1
+
+
+class TestPackedBlas:
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 64])
+    def test_matches_triu_index_scatter(self, n):
+        m = SymmetricMatrix(n, make_generator(n).standard_normal(n * (n - 1) // 2))
+        rows, cols = np.triu_indices(n, k=1)
+        expected = np.zeros(n * (n + 1) // 2)
+        expected[cols * (cols + 1) // 2 + rows] = m.values
+        assert spectra._packed_blas(m).tobytes() == expected.tobytes()
 
 
 class TestFullSpectrum:

@@ -20,6 +20,11 @@ output directory:
 The package is imported from the ``src`` directory next to this script.
 The full list takes about twenty minutes on two cores, nearly all of it
 in ``reproduce``.
+
+BLAS runs on one thread (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` are set to 1 before numpy is imported), because the
+``reproduce fig1 fig1.json`` hash depends on the BLAS thread count: its
+n=3000 dense spectrum rounds differently with more threads.
 """
 
 from __future__ import annotations
@@ -30,9 +35,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
+os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
