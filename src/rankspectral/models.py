@@ -208,7 +208,7 @@ def sample_homogeneous(
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got n={n}")
     rng = make_generator(seed)
-    return SymmetricMatrix(n, dist.sample(n * (n - 1) // 2, rng))
+    return SymmetricMatrix.adopt(n, dist.sample(n * (n - 1) // 2, rng))
 
 
 def sample_two_block(
@@ -231,12 +231,14 @@ def sample_two_block(
     rng = make_generator(seed)
     labels = np.concatenate([np.ones(n // 2, dtype=np.int64), -np.ones(n - n // 2, dtype=np.int64)])
     labels = rng.permutation(labels)
-    n_pairs = n * (n - 1) // 2
     # Two parallel draws keep the stream layout independent of the labels.
-    vals = within.sample(n_pairs, rng)
-    np.copyto(vals, between.sample(n_pairs, rng), where=_pair_mask(labels, np.not_equal))
+    vals = within.sample(n * (n - 1) // 2, rng)
+    # Row i's entries come from ``between`` where labels[j] != labels[i].
+    positive = labels > 0
+    negative = ~positive
+    _redraw_rows(vals, n, between, rng, lambda i: (negative if positive[i] else positive)[i + 1 :])
     labels.flags.writeable = False
-    return SymmetricMatrix(n, vals), TwoBlockAssignment(labels)
+    return SymmetricMatrix.adopt(n, vals), TwoBlockAssignment(labels)
 
 
 def sample_planted_submatrix(
@@ -261,27 +263,28 @@ def sample_planted_submatrix(
     labels = np.zeros(n, dtype=np.int64)
     labels[:n1] = 1
     labels = rng.permutation(labels)
-    n_pairs = n * (n - 1) // 2
-    vals = inside.sample(n_pairs, rng)
+    vals = inside.sample(n * (n - 1) // 2, rng)
+    # Row i's entries come from ``background`` unless both ends are planted.
     outside = labels == 0
-    np.copyto(vals, background.sample(n_pairs, rng), where=_pair_mask(outside, np.logical_or))
+    _redraw_rows(vals, n, background, rng, lambda i: True if outside[i] else outside[i + 1 :])
     labels.flags.writeable = False
-    return SymmetricMatrix(n, vals), PlantedAssignment(labels)
+    return SymmetricMatrix.adopt(n, vals), PlantedAssignment(labels)
 
 
-def _pair_mask(labels: np.ndarray, test) -> np.ndarray:
-    """``test(labels[i], labels[j])`` for every pair i < j, in pack order.
+def _redraw_rows(
+    vals: np.ndarray, n: int, dist: EntryDistribution, rng: np.random.Generator, mask
+) -> None:
+    """Overwrite ``vals`` with a second full draw from ``dist`` where ``mask(i)`` holds.
 
-    Built row by row, so no index array of length N is needed.
+    The draw is taken row by row, which consumes the stream exactly as one
+    call for all n(n-1)/2 entries would, so no second length-N array is
+    built. ``mask(i)`` is row i's mask over columns i+1..n-1, or True.
     """
-    n = labels.shape[0]
-    mask = np.empty(n * (n - 1) // 2, dtype=bool)
     start = 0
     for i in range(n - 1):
         stop = start + n - 1 - i
-        test(labels[i], labels[i + 1 :], out=mask[start:stop])
+        np.copyto(vals[start:stop], dist.sample(stop - start, rng), where=mask(i))
         start = stop
-    return mask
 
 
 def sample_interpolated_rank(n: int, k: float, seed: int) -> SymmetricMatrix:
@@ -300,11 +303,12 @@ def sample_interpolated_rank(n: int, k: float, seed: int) -> SymmetricMatrix:
     if math.isinf(k):
         if k < 0:
             raise ValueError("k must be >= 0")
-        return SymmetricMatrix(n, rng.random(n_pairs))
+        return SymmetricMatrix.adopt(n, rng.random(n_pairs))
     kk = int(k)
     if kk != k or kk < 0:
         raise ValueError(f"k must be a nonnegative integer or math.inf, got {k!r}")
     if kk > 10 * n_pairs:
         raise ValueError(f"k={kk} exceeds the 10*N guard ({10 * n_pairs}) for n={n}")
-    draw = rng.permutation(n_pairs + kk)[:n_pairs] + 1
-    return SymmetricMatrix(n, draw / (n_pairs + kk + 1))
+    vals = np.add(rng.permutation(n_pairs + kk)[:n_pairs], 1.0)
+    vals /= n_pairs + kk + 1
+    return SymmetricMatrix.adopt(n, vals)

@@ -14,6 +14,7 @@ explicit seeded policy breaks them uniformly at random.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,7 +61,17 @@ class RankMatrix(SymmetricMatrix):
 
     The packed values must be exactly a permutation of k/(N+1) for
     k = 1..N; the constructor verifies this.
+
+    A matrix from :func:`rank_transform` stores only ``blas``, its ranks in
+    the upper-packed layout that BLAS ``dspmv`` reads: ``blas[j(j+1)/2 + i]``
+    is entry (i, j) for i <= j, and the diagonal slots are zero. The
+    eigensolver reads that buffer as it is, with no pack step. The
+    row-major ``values`` are derived from it on first access, then cached
+    and read-only. A matrix from the constructor stores ``values`` and has
+    ``blas`` None.
     """
+
+    blas: np.ndarray | None = None
 
     def __init__(self, n: int, values: np.ndarray) -> None:
         super().__init__(n, values)
@@ -69,20 +80,35 @@ class RankMatrix(SymmetricMatrix):
             raise ValueError("values are not a permutation of k/(N+1), k=1..N")
 
     @classmethod
-    def _adopt(cls, n: int, ranks: np.ndarray) -> "RankMatrix":
-        """Wrap ranks :func:`rank_transform` just computed, without a copy or checks."""
-        ranks.flags.writeable = False
+    def _from_blas(cls, n: int, blas: np.ndarray) -> "RankMatrix":
+        """Wrap the buffer :func:`rank_transform` just filled, without a copy or checks."""
+        blas.flags.writeable = False
         result = cls.__new__(cls)
         result.n = n
-        result.values = ranks
+        result.blas = blas
         return result
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        # Only reached for a matrix from rank_transform: the constructor
+        # stores ``values`` on the instance, which shadows this property.
+        # Column j of the buffer, blas[j(j+1)/2 : j(j+1)/2 + j], holds the
+        # entries (i, j), i < j, at row-major positions row_base[i] + j.
+        values = np.empty(self.n_pairs)
+        row_base = _row_base(self.n)
+        start = 0
+        for j in range(1, self.n):
+            start += j
+            values[row_base[:j] + j] = self.blas[start : start + j]
+        values.flags.writeable = False
+        return values
 
     def __repr__(self) -> str:
         return f"RankMatrix(n={self.n})"
 
 
-# Entries per block of the key build and the rank fill: small blocks keep
-# their temporaries in cache and off the peak allocation.
+# Entries per block of the key build, the run scan and the rank fill:
+# small blocks keep their temporaries in cache and off the peak allocation.
 _BLOCK = 1 << 16
 
 _MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
@@ -101,9 +127,10 @@ def rank_transform(matrix: SymmetricMatrix, policy: TiePolicy | None = None) -> 
     Returns
     -------
     RankMatrix
-        Matrix with entry rank/(N+1) in place of each data entry. Strictly
-        monotone transforms of the data give bit-identical output, and
-        relabeling nodes commutes with the transform.
+        Matrix with entry rank/(N+1) in place of each data entry, held in
+        the BLAS layout :class:`RankMatrix` describes. Strictly monotone
+        transforms of the data give bit-identical output, and relabeling
+        nodes commutes with the transform.
 
     Raises
     ------
@@ -116,52 +143,88 @@ def rank_transform(matrix: SymmetricMatrix, policy: TiePolicy | None = None) -> 
     The sort order comes from one ``np.sort`` of int64 keys instead of an
     ``np.argsort`` of the values, which costs several times more. Each
     value maps to a signed-magnitude key that orders exactly as the values
-    do, with -0.0 and 0.0 equal; the low ceil(log2 N) bits of the key are
-    then replaced by the entry's index. After the sort, keys that differ
-    in their remaining high bits are in exact value order, and the index
-    bits give the permutation. Entries whose high bits collide (some 10^4
-    of the 8M at n = 4000, and every exact tie) form runs that are
-    re-sorted exactly by value, so the result equals a full sort. Ties
-    exist only inside those runs: the ``error`` policy reports them from
-    there, and the ``random`` policy orders the runs by value, then by
-    ``rng.permutation(N)``, as a ``lexsort`` over all N would.
+    do, with -0.0 and 0.0 equal; the low ceil(log2(n(n+1)/2)) bits of the
+    key are then replaced by the entry's slot j(j+1)/2 + i in the BLAS
+    buffer. After the sort, keys that differ in their remaining high bits
+    are in exact value order, and the slot bits say where each rank goes.
+    Entries whose high bits collide (some 10^4 of the 8M at n = 4000, and
+    every exact tie) form runs that are re-sorted exactly by value, so the
+    result equals a full sort. Ties exist only inside those runs: the
+    ``error`` policy reports them from there, and the ``random`` policy
+    orders the runs by value, then by ``rng.permutation(N)`` of the
+    row-major positions, as a ``lexsort`` over all N would.
+
+    Memory: the slots are compacted to an int32 order (int64 once
+    n(n+1)/2 exceeds 2^31 - 1), and the keys are freed before the output
+    is allocated. On continuous data a call peaks at about 13N bytes (the
+    keys, the order and a one-byte run mask), so a replicate peaks at
+    about 21N bytes counting the caller's sample.
     """
     if policy is None:
         policy = TiePolicy.error()
+    n = matrix.n
     a = matrix.values
     n_pairs = a.shape[0]
-    bits = (n_pairs - 1).bit_length()
-    order = _sort_keys(a, bits)
-    in_run = _collision_runs(order, bits)
-    order &= (1 << bits) - 1  # sorted key -> entry index
+    n_slots = n * (n + 1) // 2
+    bits = (n_slots - 1).bit_length()
+    keys = _sort_keys(a, n, bits)
+    in_run = _collision_runs(keys, bits)
+    order = _slot_order(keys, bits, _order_dtype(n_slots))
+    del keys
     if in_run is not None:
-        index = order[in_run]
-        order[in_run] = index[_order_runs(a, index, policy)]
-    ranks = np.empty(n_pairs, dtype=np.float64)
+        slots = order[in_run]
+        order[in_run] = slots[_order_runs(a, _row_major_index(slots, n), policy)]
+        del in_run, slots
+    ranks = np.zeros(n_slots)
     for lo in range(0, n_pairs, _BLOCK):
         hi = min(lo + _BLOCK, n_pairs)
         ranks[order[lo:hi]] = np.arange(lo + 1, hi + 1, dtype=np.float64) / (n_pairs + 1)
-    return RankMatrix._adopt(matrix.n, ranks)
+    return RankMatrix._from_blas(n, ranks)
 
 
-def _sort_keys(a: np.ndarray, bits: int) -> np.ndarray:
-    """Sorted int64 keys: each value's order key, low ``bits`` bits its index.
+def _triangular(n: int) -> np.ndarray:
+    """tri[j] = j(j+1)/2 for j = 0..n: the BLAS slot of entry (0, j)."""
+    return np.cumsum(np.arange(n + 1))
 
-    The key of a float64 is its magnitude bits, negated for a negative
-    sign; this orders keys exactly as the values and maps -0.0 to 0 as well.
+
+def _row_base(n: int) -> np.ndarray:
+    """row_base[i] = pack_index(i, j, n) - j: row i's row-major offset."""
+    i = np.arange(n)
+    return i * (2 * n - i - 1) // 2 - i - 1
+
+
+def _order_dtype(n_slots: int) -> type:
+    """The narrowest integer type that holds every slot of a BLAS buffer."""
+    return np.int32 if n_slots <= np.iinfo(np.int32).max else np.int64
+
+
+def _sort_keys(a: np.ndarray, n: int, bits: int) -> np.ndarray:
+    """Sorted int64 keys: each value's order key, low ``bits`` bits its BLAS slot.
+
+    The slots are written row by row (row i holds tri[i+1:] + i), then the
+    high bits are or-ed in per block. The key of a float64 is its magnitude
+    bits, negated for a negative sign; this orders keys exactly as the
+    values and maps -0.0 to 0 as well.
     """
     raw = a.view(np.int64)
     keys = np.empty(a.shape[0], dtype=np.int64)
+    tri = _triangular(n)
+    start = 0
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        np.add(tri[i + 1 : n], i, out=keys[start:stop])
+        start = stop
+    high = np.empty(min(_BLOCK, a.shape[0]), dtype=np.int64)
     for lo in range(0, a.shape[0], _BLOCK):
         hi = min(lo + _BLOCK, a.shape[0])
-        block = keys[lo:hi]
+        block = high[: hi - lo]
         sign = raw[lo:hi] >> 63  # -1 for a set sign bit, else 0
         np.bitwise_and(raw[lo:hi], _MAGNITUDE, out=block)
         block ^= sign
         block -= sign
         block >>= bits
         block <<= bits
-        block |= np.arange(lo, hi)
+        keys[lo:hi] |= block
     keys.sort()
     return keys
 
@@ -169,18 +232,52 @@ def _sort_keys(a: np.ndarray, bits: int) -> np.ndarray:
 def _collision_runs(keys: np.ndarray, bits: int) -> np.ndarray | None:
     """Mask of sorted positions whose key shares its high bits with a neighbour.
 
+    Scanned in blocks, so the only length-N temporary is the mask itself.
     None when no two keys collide.
     """
-    differ = keys[1:] ^ keys[:-1]
-    differ >>= bits
-    shared = differ == 0
-    del differ
-    if not shared.any():
-        return None
     in_run = np.zeros(keys.shape[0], dtype=bool)
-    in_run[:-1] = shared
-    in_run[1:] |= shared
-    return in_run
+    for lo in range(0, keys.shape[0] - 1, _BLOCK):
+        hi = min(lo + _BLOCK, keys.shape[0] - 1)
+        differ = keys[lo + 1 : hi + 1] ^ keys[lo:hi]
+        differ >>= bits
+        shared = differ == 0
+        in_run[lo:hi] |= shared
+        in_run[lo + 1 : hi + 1] |= shared
+    return in_run if in_run.any() else None
+
+
+def _slot_order(keys: np.ndarray, bits: int, dtype: type) -> np.ndarray:
+    """The slots in the low ``bits`` bits of the sorted keys, as ``dtype``.
+
+    Masks ``keys`` in place on the way.
+    """
+    order = np.empty(keys.shape[0], dtype=dtype)
+    low = (1 << bits) - 1
+    for lo in range(0, keys.shape[0], _BLOCK):
+        block = keys[lo : lo + _BLOCK]
+        block &= low
+        order[lo : lo + _BLOCK] = block
+    return order
+
+
+def _row_major_index(slots: np.ndarray, n: int) -> np.ndarray:
+    """Row-major packed position of each off-diagonal BLAS slot j(j+1)/2 + i.
+
+    The column j comes from a float square-root estimate, corrected by one
+    step each way against the exact table tri; then the position is
+    row_base[i] + j. Done in blocks, with no int64 division.
+    """
+    tri = _triangular(n)
+    row_base = _row_base(n)
+    out = np.empty(slots.shape[0], dtype=np.int64)
+    for lo in range(0, slots.shape[0], _BLOCK):
+        slot = slots[lo : lo + _BLOCK].astype(np.int64)
+        j = ((np.sqrt(8.0 * slot + 1.0) - 1.0) * 0.5).astype(np.int64)
+        np.minimum(j, n - 1, out=j)
+        j -= tri[j] > slot
+        j += tri[j + 1] <= slot
+        out[lo : lo + _BLOCK] = row_base[slot - tri[j]] + j
+    return out
 
 
 def _order_runs(a: np.ndarray, index: np.ndarray, policy: TiePolicy) -> np.ndarray:

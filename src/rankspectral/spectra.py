@@ -16,6 +16,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.linalg.blas import dspmv
 
+from .ranking import RankMatrix
 from .rng import make_generator
 from .symmetric import SymmetricMatrix
 
@@ -46,6 +47,11 @@ class EigenPair:
 
 def _packed_blas(matrix: SymmetricMatrix) -> np.ndarray:
     """Upper-packed BLAS buffer: ap[j(j+1)/2 + i] = entry (i, j), i <= j.
+
+    Built only for matrices that hold no such buffer: sampled matrices
+    (such as ``sample_interpolated_rank``'s), loaded data and rank matrices
+    from the ``RankMatrix`` constructor. A rank matrix from
+    ``rank_transform`` is ranked straight into this layout.
 
     Filled one column at a time: column j is the contiguous slice
     ap[j(j+1)/2 : j(j+1)/2 + j], gathered from packed positions
@@ -100,6 +106,10 @@ def leading_eigenpair(
     iteration restarts once from a fixed-seed random vector; spiked matrices
     have their dominant eigenvalue of order n/2, far above that floor.
 
+    A :class:`RankMatrix` from ``rank_transform`` already holds the BLAS
+    buffer ``dspmv`` reads, and the solver uses it as it is; any other
+    matrix is packed into a new buffer of n(n+1)/2 entries first.
+
     Raises
     ------
     ConvergenceError
@@ -117,8 +127,11 @@ def leading_eigenpair(
         if norm == 0.0:
             raise ValueError("start vector must be nonzero")
         v /= norm
-    ap = _packed_blas(matrix)
-    resid_floor = _frobenius(matrix) / math.sqrt(n)
+    ap = matrix.blas if isinstance(matrix, RankMatrix) else None
+    if ap is None:
+        ap = _packed_blas(matrix)
+    # ||M||_F^2 is twice the sum of squares of the off-diagonal buffer entries.
+    resid_floor = math.sqrt(2.0 * float(ap @ ap)) / math.sqrt(n)
     lam_prev = math.inf
     streak = 0
     restarted = False

@@ -53,26 +53,26 @@ def pack_index(i: int, j: int, n: int) -> int:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
-def unpack_index(k: int, n: int) -> tuple[int, int]:
-    """Inverse of :func:`pack_index`: recover (i, j) from position k."""
-    n_pairs = n * (n - 1) // 2
-    if not (0 <= k < n_pairs):
-        raise ValueError(f"position must be in [0, {n_pairs}), got {k}")
-    # Largest i with i(2n-i-1)/2 <= k; integer sqrt keeps this exact.
-    i = (2 * n - 1 - math.isqrt((2 * n - 1) ** 2 - 8 * k)) // 2
-    while i * (2 * n - i - 1) // 2 > k:
-        i -= 1
-    while (i + 1) * (2 * n - i - 2) // 2 <= k:
-        i += 1
-    j = k - i * (2 * n - i - 1) // 2 + i + 1
-    return i, j
-
-
 def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column index arrays of the strict upper triangle, pack order."""
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got n={n}")
     return np.triu_indices(n, k=1)
+
+
+def _checked_values(n: int, vals: np.ndarray) -> np.ndarray:
+    """``vals`` made read-only, once n, its shape and its entries are valid."""
+    if n < 2:
+        raise ValueError(f"dimension must be >= 2, got n={n}")
+    if vals.ndim != 1 or vals.shape[0] != n * (n - 1) // 2:
+        raise ValueError(
+            f"expected {n * (n - 1) // 2} packed values for n={n}, "
+            f"got shape {vals.shape}"
+        )
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("matrix entries must be finite")
+    vals.flags.writeable = False
+    return vals
 
 
 class SymmetricMatrix:
@@ -88,24 +88,25 @@ class SymmetricMatrix:
     """
 
     def __init__(self, n: int, values: np.ndarray) -> None:
-        if n < 2:
-            raise ValueError(f"dimension must be >= 2, got n={n}")
-        vals = np.array(values, dtype=np.float64)
-        if vals.ndim != 1 or vals.shape[0] != n * (n - 1) // 2:
-            raise ValueError(
-                f"expected {n * (n - 1) // 2} packed values for n={n}, "
-                f"got shape {vals.shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("matrix entries must be finite")
-        vals.flags.writeable = False
         self.n = n
-        self.values = vals
+        self.values = _checked_values(n, np.array(values, dtype=np.float64))
+
+    @staticmethod
+    def adopt(n: int, values: np.ndarray) -> "SymmetricMatrix":
+        """Wrap a float64 array that nothing else holds, without a copy.
+
+        For arrays a caller has just drawn or computed: the checks are the
+        constructor's, and ``values`` itself is made read-only and stored.
+        """
+        matrix = SymmetricMatrix.__new__(SymmetricMatrix)
+        matrix.n = n
+        matrix.values = _checked_values(n, values)
+        return matrix
 
     @property
     def n_pairs(self) -> int:
         """Number of stored entries, n(n-1)/2."""
-        return self.values.shape[0]
+        return self.n * (self.n - 1) // 2
 
     @classmethod
     def from_dense(cls, array: np.ndarray, rtol: float = _SYMMETRY_RTOL) -> "SymmetricMatrix":
@@ -162,30 +163,6 @@ class SymmetricMatrix:
 
     def __repr__(self) -> str:
         return f"SymmetricMatrix(n={self.n})"
-
-
-def expectation_matrix(n: int) -> SymmetricMatrix:
-    """The matrix with every off-diagonal entry 1/2.
-
-    Its eigenvalues are (n-1)/2 with eigenvector 1/sqrt(n) and -1/2 with
-    multiplicity n-1.
-    """
-    return SymmetricMatrix(n, np.full(n * (n - 1) // 2, 0.5))
-
-
-def permute_nodes(matrix: SymmetricMatrix, perm: np.ndarray) -> SymmetricMatrix:
-    """Relabel nodes: result entry (i, j) equals input entry (perm[i], perm[j])."""
-    n = matrix.n
-    p = np.asarray(perm)
-    if p.shape != (n,) or not np.array_equal(np.sort(p), np.arange(n)):
-        raise ValueError(f"perm must be a permutation of range({n})")
-    rows, cols = pair_indices(n)
-    pi = p[rows]
-    pj = p[cols]
-    lo = np.minimum(pi, pj)
-    hi = np.maximum(pi, pj)
-    k = lo * (2 * n - lo - 1) // 2 + (hi - lo - 1)
-    return SymmetricMatrix(n, matrix.values[k])
 
 
 @dataclass(frozen=True)

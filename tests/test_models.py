@@ -275,6 +275,15 @@ class TestSamplePlantedSubmatrix:
 class TestRowBuiltMasks:
     """The samplers build their block masks row by row; values stay bit-identical."""
 
+    @pytest.mark.parametrize(
+        "between", ["uniform(0,3)", "exponential(2)", "normal(-1,0.5)", "pareto(1,2)"]
+    )
+    def test_row_draws_match_one_draw_for_every_family(self, between):
+        for n in (5, 33):
+            m, _ = sample_two_block(n, "normal(1,1)", between, n)
+            values, _ = reference_two_block(n, "normal(1,1)", between, n)
+            assert m.values.tobytes() == values.tobytes()
+
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 64, 65])
     def test_two_block_matches_pair_index_formulation(self, n):
         for seed in (0, 9):
@@ -293,6 +302,14 @@ class TestRowBuiltMasks:
 
 
 class TestSampleInterpolatedRank:
+    @pytest.mark.parametrize("n", [2, 3, 10, 45])
+    def test_matches_integer_division_formulation(self, n):
+        n_pairs = n * (n - 1) // 2
+        for k in sorted({0, 1, n, int(n**1.5), n_pairs, 10 * n_pairs}):
+            draw = make_generator(n + k).permutation(n_pairs + k)[:n_pairs] + 1
+            expected = draw / (n_pairs + k + 1)
+            assert sample_interpolated_rank(n, k, n + k).values.tobytes() == expected.tobytes()
+
     def test_k_zero_is_exact_rank_matrix(self):
         m = sample_interpolated_rank(12, 0, seed=4)
         # Constructor validates that values are a permutation of k/(N+1).

@@ -15,13 +15,14 @@ from rankspectral import (
     TiePolicy,
     make_generator,
     moments,
-    permute_nodes,
     rank_transform,
     ranking,
+    spectra,
     whiten,
 )
 
 from conftest import random_symmetric
+from oracles import permute_nodes
 
 
 def reference_ranks(values: np.ndarray, policy: TiePolicy) -> np.ndarray:
@@ -207,6 +208,112 @@ class TestSortKeyKernel:
         r = rank_transform(m)
         assert not r.values.flags.writeable
         assert not np.shares_memory(r.values, m.values)
+
+
+def blas_inputs(n: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Continuous, low-bit collision, signed-zero and tied values for one n."""
+    n_pairs = n * (n - 1) // 2
+    ulps = np.float64(1.0).view(np.int64) + rng.integers(0, 4 * n_pairs + 2, size=n_pairs)
+    return {
+        "continuous": rng.normal(size=n_pairs),
+        # Values 1 + k ulps share all but their lowest mantissa bits.
+        "low-bits": ulps.view(np.float64),
+        "signed-zeros": np.where(
+            rng.random(n_pairs) < 0.3, rng.choice([0.0, -0.0], n_pairs), rng.normal(size=n_pairs)
+        ),
+        "ties": rng.integers(0, max(2, n_pairs // 3), size=n_pairs).astype(np.float64),
+    }
+
+
+class TestBlasLayout:
+    """rank_transform writes each rank straight into its upper-packed BLAS slot."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 60, 257])
+    def test_buffer_is_the_packed_reference_ranks(self, n):
+        rng = np.random.default_rng(n)
+        for label, values in blas_inputs(n, rng).items():
+            m = SymmetricMatrix(n, values)
+            for policy in (TiePolicy.error(), TiePolicy.random(n)):
+                try:
+                    expected = reference_ranks(values, policy)
+                except TieError as exc:
+                    with pytest.raises(TieError) as raised:
+                        rank_transform(m, policy)
+                    assert str(raised.value) == str(exc), label
+                    continue
+                r = rank_transform(m, policy)
+                packed = spectra._packed_blas(SymmetricMatrix(n, expected))
+                assert r.blas.tobytes() == packed.tobytes(), (label, policy)
+
+    def test_inputs_reach_collision_runs_and_ties(self, monkeypatch):
+        # Non-vacuity: every input but the continuous one has collision
+        # runs at n = 257, and the signed zeros and ties raise under ``error``.
+        runs = []
+        order_runs = ranking._order_runs
+
+        def spy(a, index, policy):
+            runs.append(index.size)
+            return order_runs(a, index, policy)
+
+        monkeypatch.setattr(ranking, "_order_runs", spy)
+        for label, values in blas_inputs(257, np.random.default_rng(257)).items():
+            m = SymmetricMatrix(257, values)
+            runs.clear()
+            rank_transform(m, TiePolicy.random(1))
+            assert (len(runs) == 1) == (label != "continuous"), label
+            if label in ("signed-zeros", "ties"):
+                with pytest.raises(TieError):
+                    rank_transform(m)
+
+    @pytest.mark.parametrize("n", [2, 3, 11, 60])
+    def test_lazy_values_are_the_reference_ranks(self, n):
+        m = random_symmetric(n, seed=n)
+        r = rank_transform(m)
+        assert "values" not in vars(r)
+        values = r.values
+        assert values.tobytes() == reference_ranks(m.values, TiePolicy.error()).tobytes()
+        assert r.values is values
+        assert not values.flags.writeable
+        assert not r.blas.flags.writeable
+        assert not np.shares_memory(values, m.values)
+        assert not np.shares_memory(r.blas, m.values)
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+
+    def test_constructed_rank_matrix_keeps_its_values(self):
+        r = RankMatrix(3, [0.75, 0.25, 0.5])
+        assert r.blas is None
+        assert np.array_equal(r.values, [0.75, 0.25, 0.5])
+
+    def test_row_major_index_is_exact(self):
+        for n in range(2, 301):
+            rows, cols = np.triu_indices(n, k=1)
+            slots = cols * (cols + 1) // 2 + rows
+            for dtype in (np.int32, np.int64):
+                got = ranking._row_major_index(slots.astype(dtype), n)
+                assert np.array_equal(got, np.arange(n * (n - 1) // 2)), (n, dtype)
+
+    @pytest.mark.parametrize("n", [65535, 65536])
+    def test_row_major_index_near_the_int32_limit(self, n):
+        # Slots at both ends of the first, middle and last columns, where
+        # j(j+1)/2 is closest to the float square root's rounding.
+        pairs = [
+            (i, j)
+            for j in (1, 2, 3, n // 2, n - 3, n - 2, n - 1)
+            for i in (0, 1, j // 2, j - 2, j - 1)
+            if 0 <= i < j
+        ]
+        dtype = ranking._order_dtype(n * (n + 1) // 2)
+        slots = np.array([j * (j + 1) // 2 + i for i, j in pairs], dtype=dtype)
+        expected = [i * (2 * n - i - 1) // 2 + (j - i - 1) for i, j in pairs]
+        assert ranking._row_major_index(slots, n).tolist() == expected
+
+    def test_order_dtype_flips_at_two_to_the_31(self):
+        assert ranking._order_dtype(2**31 - 1) is np.int32
+        assert ranking._order_dtype(2**31) is np.int64
+        # n = 65535 is the largest dimension whose slots fit in int32.
+        assert ranking._order_dtype(65535 * 65536 // 2) is np.int32
+        assert ranking._order_dtype(65536 * 65537 // 2) is np.int64
 
 
 class TestTiePolicies:

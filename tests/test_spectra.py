@@ -9,9 +9,9 @@ from scipy.integrate import quad
 from rankspectral import (
     ConvergenceError,
     EigenPair,
+    RankMatrix,
     SymmetricMatrix,
     esd_from_eigenvalues,
-    expectation_matrix,
     full_spectrum,
     leading_eigenpair,
     rank_transform,
@@ -22,6 +22,7 @@ from rankspectral import spectra
 from rankspectral.rng import make_generator
 
 from conftest import random_symmetric
+from oracles import expectation_matrix
 
 
 def rank_values_matrix(n, seed):
@@ -111,6 +112,33 @@ class TestPackedBlas:
         expected = np.zeros(n * (n + 1) // 2)
         expected[cols * (cols + 1) // 2 + rows] = m.values
         assert spectra._packed_blas(m).tobytes() == expected.tobytes()
+
+
+class TestPrepackedRankMatrix:
+    @pytest.mark.parametrize("n", [2, 3, 10, 120])
+    def test_uses_the_buffer_and_matches_the_packed_route(self, n, monkeypatch):
+        ranked = rank_values_matrix(n, n)
+        repacked = SymmetricMatrix(n, ranked.values)
+        expected = leading_eigenpair(repacked)
+
+        def no_pack(matrix):
+            raise AssertionError("a rank matrix from rank_transform was packed again")
+
+        monkeypatch.setattr(spectra, "_packed_blas", no_pack)
+        pair = leading_eigenpair(ranked)
+        assert (pair.value, pair.iterations, pair.residual) == (
+            expected.value,
+            expected.iterations,
+            expected.residual,
+        )
+        assert pair.vector.tobytes() == expected.vector.tobytes()
+
+    def test_constructed_rank_matrix_is_packed(self):
+        ranked = rank_values_matrix(9, 1)
+        a = leading_eigenpair(RankMatrix(9, ranked.values))
+        b = leading_eigenpair(ranked)
+        assert (a.value, a.iterations, a.residual) == (b.value, b.iterations, b.residual)
+        assert a.vector.tobytes() == b.vector.tobytes()
 
 
 class TestFullSpectrum:

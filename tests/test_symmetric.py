@@ -17,16 +17,14 @@ from rankspectral import (
     FormatError,
     MatrixSource,
     SymmetricMatrix,
-    expectation_matrix,
     load_matrix,
     pack_index,
     pair_indices,
-    permute_nodes,
     save_matrix,
-    unpack_index,
 )
 
 from conftest import random_symmetric
+from oracles import expectation_matrix, permute_nodes, unpack_index
 
 
 class TestPackIndex:
@@ -111,6 +109,21 @@ class TestSymmetricMatrix:
         m = SymmetricMatrix(3, vals)
         vals[0] = 99.0
         assert m.values[0] == 1.0
+
+    def test_adopt_keeps_the_array(self):
+        vals = np.array([1.0, 2.0, 3.0])
+        m = SymmetricMatrix.adopt(3, vals)
+        assert m.values is vals
+        assert not vals.flags.writeable
+        assert m == SymmetricMatrix(3, [1.0, 2.0, 3.0])
+
+    def test_adopt_checks_like_the_constructor(self):
+        with pytest.raises(ValueError, match="expected 3"):
+            SymmetricMatrix.adopt(3, np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="finite"):
+            SymmetricMatrix.adopt(3, np.array([1.0, np.inf, 2.0]))
+        with pytest.raises(ValueError, match="dimension"):
+            SymmetricMatrix.adopt(1, np.array([]))
 
     def test_wrong_length(self):
         with pytest.raises(ValueError, match="expected 3"):
