@@ -92,7 +92,14 @@ class Pareto:
             )
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        return self.scale * (1.0 - rng.random(size)) ** (-1.0 / self.shape)
+        # In place on the one drawn array; ``**=`` keeps numpy's fast paths
+        # for scalar powers, so the bits are those of
+        # scale * (1.0 - u) ** (-1.0 / shape).
+        u = rng.random(size)
+        np.subtract(1.0, u, out=u)
+        u **= -1.0 / self.shape
+        u *= self.scale
+        return u
 
 
 EntryDistribution = Union[Normal, Uniform, Exponential, Pareto]

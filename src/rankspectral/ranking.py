@@ -113,6 +113,11 @@ _BLOCK = 1 << 16
 
 _MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
 
+# Largest G * N for which _order_runs' int64 key, value group * N + random
+# position, cannot overflow (G distinct tied values; holds for every n below
+# about 77,900). Beyond it the tied runs are ordered by two argsorts.
+_COMPOSITE_KEY_LIMIT = 1 << 63
+
 
 def rank_transform(matrix: SymmetricMatrix, policy: TiePolicy | None = None) -> RankMatrix:
     """Replace each upper-triangle entry by its normalized rank.
@@ -152,13 +157,15 @@ def rank_transform(matrix: SymmetricMatrix, policy: TiePolicy | None = None) -> 
     result equals a full sort. Ties exist only inside those runs: the
     ``error`` policy reports them from there, and the ``random`` policy
     orders the runs by value, then by ``rng.permutation(N)`` of the
-    row-major positions, as a ``lexsort`` over all N would.
+    row-major positions, as a ``lexsort`` over all N would. It does so with
+    one argsort of int64 keys, value group * N + random position.
 
     Memory: the slots are compacted to an int32 order (int64 once
     n(n+1)/2 exceeds 2^31 - 1), and the keys are freed before the output
     is allocated. On continuous data a call peaks at about 13N bytes (the
     keys, the order and a one-byte run mask), so a replicate peaks at
-    about 21N bytes counting the caller's sample.
+    about 21N bytes counting the caller's sample. When every entry is tied
+    a call peaks at about 30N bytes (3.75 x 8N at n = 1000).
     """
     if policy is None:
         policy = TiePolicy.error()
@@ -269,7 +276,7 @@ def _row_major_index(slots: np.ndarray, n: int) -> np.ndarray:
     """
     tri = _triangular(n)
     row_base = _row_base(n)
-    out = np.empty(slots.shape[0], dtype=np.int64)
+    out = np.empty(slots.shape[0], dtype=slots.dtype)
     for lo in range(0, slots.shape[0], _BLOCK):
         slot = slots[lo : lo + _BLOCK].astype(np.int64)
         j = ((np.sqrt(8.0 * slot + 1.0) - 1.0) * 0.5).astype(np.int64)
@@ -304,16 +311,31 @@ def _order_runs(a: np.ndarray, index: np.ndarray, policy: TiePolicy) -> np.ndarr
             f"{int(np.count_nonzero(involved))} tied entries (e.g. value {tied_value!r}); "
             f"pass TiePolicy.random(seed) to break ties at random"
         )
-    del ordered, tied
     # Primary key: value; secondary key: random position. Uniform over
-    # the orderings of each tied group. This is np.lexsort((shuffle, vals))
-    # in two passes: order by the distinct random positions, then stably
-    # by value, at well under half of lexsort's cost.
-    shuffle = make_generator(policy.seed).permutation(a.shape[0])[index]
-    by_shuffle = np.argsort(shuffle)
-    del shuffle
-    vals = vals[by_shuffle]
-    return by_shuffle[np.argsort(vals, kind="stable")]
+    # the orderings of each tied group. This is np.lexsort((shuffle, vals)).
+    n_pairs = a.shape[0]
+    np.logical_not(tied, out=tied)
+    distinct = np.concatenate([ordered[:1], ordered[1:][tied]])  # -0.0 == 0.0: one group
+    del ordered, tied
+    if distinct.shape[0] * n_pairs > _COMPOSITE_KEY_LIMIT:
+        # Two passes: order by the distinct random positions, then stably
+        # by value.
+        by_shuffle = np.argsort(_shuffled_positions(n_pairs, index.dtype, policy.seed)[index])
+        vals = vals[by_shuffle]
+        return by_shuffle[np.argsort(vals, kind="stable")]
+    # One sort of distinct int64 keys: value group * N + random position.
+    key = np.searchsorted(distinct, vals)
+    del vals
+    key *= n_pairs
+    key += _shuffled_positions(n_pairs, index.dtype, policy.seed)[index]
+    return np.argsort(key)
+
+
+def _shuffled_positions(n_pairs: int, dtype: type, seed: int | None) -> np.ndarray:
+    """``make_generator(seed).permutation(n_pairs)``, drawn straight into ``dtype``."""
+    shuffle = np.arange(n_pairs, dtype=dtype)
+    make_generator(seed).shuffle(shuffle)
+    return shuffle
 
 
 @dataclass(frozen=True)

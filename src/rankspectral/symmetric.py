@@ -115,6 +115,11 @@ class SymmetricMatrix:
         The array must be symmetric within ``|A_ij - A_ji| <= rtol *
         max(1, |A_ij|)`` entrywise; the two triangles are averaged and the
         diagonal is discarded.
+
+        The rows are folded into the packed values one at a time (see
+        ``_merge_rows``), so no n x n temporary is made: the call holds the
+        packed values and the copy the constructor makes of them. Only an
+        asymmetric array is scanned whole again, to name its worst pair.
         """
         arr = np.asarray(array, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -122,20 +127,15 @@ class SymmetricMatrix:
         n = arr.shape[0]
         if n < 2:
             raise FormatError(f"dimension must be >= 2, got n={n}")
-        gap = np.abs(arr - arr.T)
-        bound = rtol * np.maximum(1.0, np.abs(arr))
-        if np.any(gap > bound):
+        values = np.empty(n * (n - 1) // 2)
+        if not _merge_rows(values, arr, 0, rtol):
+            gap = np.abs(arr - arr.T)
+            bound = rtol * np.maximum(1.0, np.abs(arr))
             i, j = np.unravel_index(int(np.argmax(gap - bound)), arr.shape)
             raise AsymmetryError(
                 f"entries ({i},{j}) and ({j},{i}) differ by {gap[i, j]:.3e}, "
                 f"beyond tolerance {bound[i, j]:.3e}"
             )
-        iu = pair_indices(n)
-        upper = arr[iu]
-        lower = arr.T[iu]
-        # Pass exactly symmetric entries through untouched so saving and
-        # reloading is bit-exact; halve before adding to avoid overflow.
-        values = np.where(upper == lower, upper, 0.5 * upper + 0.5 * lower)
         return cls(n, values)
 
     def entry(self, i: int, j: int) -> float:
@@ -165,6 +165,38 @@ class SymmetricMatrix:
         return f"SymmetricMatrix(n={self.n})"
 
 
+def _merge_rows(values: np.ndarray, rows: np.ndarray, first: int, rtol: float) -> bool:
+    """Fold rows ``first``, ``first + 1``, ... of a dense n x n array into ``values``.
+
+    Row g's upper part fills its packed segment. Its lower part meets the
+    entries (j, g), j < g, that rows before it stored, and each such pair
+    keeps what :meth:`SymmetricMatrix.from_dense` makes of it: the stored
+    entry itself when the two are equal, so saving and reloading is
+    bit-exact, else their mean, halved before adding to avoid overflow.
+    Returns False, with ``values`` part written,
+    at the first row holding a pair farther apart than ``rtol * max(1,
+    |entry|)`` for either of its two entries.
+    """
+    n = rows.shape[1]
+    k = np.arange(n)
+    column = k * (2 * n - k - 1) // 2 - k - 1  # pack_index(j, g, n) = column[j] + g
+    for g, row in enumerate(rows, start=first):
+        start = column[g] + g + 1
+        values[start : start + n - 1 - g] = row[g + 1 :]
+        at = column[:g] + g
+        upper = values[at]
+        lower = row[:g]
+        if np.array_equal(upper, lower):
+            continue
+        gap = np.abs(upper - lower)
+        if np.any(gap > rtol * np.maximum(1.0, np.abs(upper))) or np.any(
+            gap > rtol * np.maximum(1.0, np.abs(lower))
+        ):
+            return False
+        values[at] = np.where(upper == lower, upper, 0.5 * upper + 0.5 * lower)
+    return True
+
+
 @dataclass(frozen=True)
 class MatrixSource:
     """Where and how to read a matrix.
@@ -188,10 +220,16 @@ def load_matrix(source: MatrixSource | str | Path, format: str = "dense-csv") ->
     """Read a :class:`SymmetricMatrix` from a file or stream.
 
     A file of plain numeric text, with LF, CRLF or CR line ends, is parsed in
-    one vectorized pass. Whatever that pass declines is read again line by
-    line, and the line reader's result or line-numbered error stands, so the
-    two routes accept the same inputs and word every error alike. A stream
-    is read line by line.
+    one vectorized pass. The pass reads the file in blocks of whole lines
+    (about 1 MiB each) and parses each block straight into the packed
+    values, so it never holds the whole file, an n x n array or a second
+    copy of the result. Dense rows are checked for symmetry as they arrive;
+    an edge list is read twice, once to count its lines. Whatever that pass
+    declines (any byte outside plain numeric text, a wrong shape or token
+    count, a non-finite value, an asymmetric pair) is read again from the
+    start, line by line, and the line reader's result or line-numbered
+    error stands, so the two routes accept the same inputs and word every
+    error alike. A stream is read line by line.
 
     Parameters
     ----------
@@ -217,8 +255,10 @@ def load_matrix(source: MatrixSource | str | Path, format: str = "dense-csv") ->
         assert source.stream is not None
         return _parse(source.format, source.stream)
     with open(source.path, "rb") as fh:
-        data = fh.read()
-    matrix = _parse_fast(source.format, data)
+        matrix = _parse_blocks(source.format, fh)
+        if matrix is None:
+            fh.seek(0)
+            data = fh.read()
     return matrix if matrix is not None else _parse(source.format, _utf8_lines(data))
 
 
@@ -285,75 +325,169 @@ def _utf8_lines(data: bytes) -> IO[str]:
 _PLAIN_BYTES = b"0123456789+-.eE \t\n"
 _EDGE_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 _BLOCK_BYTES = 1 << 20
+# Entries per block of the edge-key build and its checks, and tokens per
+# conversion of upper-triangle text.
+_KEY_BLOCK = _TOKENS = 1 << 16
 
 
 def _parse_fast(format: str, data: bytes) -> SymmetricMatrix | None:
-    """One vectorized parse of plain numeric text, or None to read it line by line.
+    """The vectorized parse of ``data``: the pass :func:`load_matrix` runs on a file."""
+    return _parse_blocks(format, io.BytesIO(data))
 
-    A matrix returned here is bit-identical to what the line parser returns
-    for the same text. No error is raised from here: wording errors is left
-    to the line parser.
+
+def _parse_blocks(format: str, fh: IO[bytes]) -> SymmetricMatrix | None:
+    """A vectorized parse of plain numeric text, or None to read it line by line.
+
+    ``fh`` is read from its start in blocks of whole lines (``_blocks``),
+    each parsed straight into arrays allocated once, so no stage holds the
+    whole file or an n x n array. A matrix returned here is bit-identical
+    to what the line parser returns for the same text. No error is raised
+    from here: wording errors is left to the line parser.
     """
-    if b"\r" in data:  # text mode's newline translation, so lines split alike
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    plain = _PLAIN_BYTES + b"," if format == "dense-csv" else _PLAIN_BYTES
-    if not data or data.isspace() or data.translate(None, plain):
-        return None
     try:
         if format == "dense-csv":
-            rows = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, ndmin=2)
-            # from_dense drops the diagonal, where the line parser still
-            # rejects an overflowing token such as 1e400.
-            return SymmetricMatrix.from_dense(rows) if np.isfinite(rows).all() else None
+            return _fast_dense(fh)
         if format == "upper-triangle-text":
-            head, rest = data.split(None, 1)
-            return SymmetricMatrix(int(head), _floats(rest))
-        return _fast_edge_list(data)
+            return _fast_upper_triangle(fh)
+        return _fast_edge_list(fh)
     except ValueError:  # numpy's conversion and shape errors, and FormatError
         return None
 
 
-def _floats(tokens: bytes) -> np.ndarray:
-    """float() of each whitespace-separated token, a block of lines at a time.
+def _blocks(fh: IO[bytes], plain: bytes) -> Iterator[bytes]:
+    """The text of ``fh`` from its start, in blocks of whole lines of about _BLOCK_BYTES.
 
-    Block by block, the token objects alive at once are one block's worth
-    rather than one per matrix entry.
+    Line ends are translated as text mode translates them: CRLF and a lone
+    CR become LF. A CR that ends one read is held over to the next, so a
+    CRLF split between two reads is still one line end. Blocks of
+    whitespace only are skipped. Raises FormatError at a byte not in
+    ``plain``.
     """
-    blocks, start = [], 0
-    while start < len(tokens):
-        stop = tokens.find(b"\n", start + _BLOCK_BYTES)
-        stop = len(tokens) if stop < 0 else stop
-        blocks.append(np.array(tokens[start:stop].split(), dtype=np.float64))
-        start = stop
-    return np.concatenate(blocks)
+    fh.seek(0)
+    pending, at_end = b"", False
+    while not at_end:
+        chunk = fh.read(_BLOCK_BYTES)
+        at_end = not chunk
+        data, held = pending + chunk, b""
+        del chunk  # only the block is held while the caller parses it
+        if not at_end and data.endswith(b"\r"):
+            data, held = data[:-1], b"\r"
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        cut = len(data) if at_end else data.rfind(b"\n") + 1
+        block, pending = data[:cut], data[cut:] + held
+        del data
+        if block.translate(None, plain):
+            raise FormatError("not plain numeric text")
+        if block and not block.isspace():
+            yield block
 
 
-def _fast_edge_list(data: bytes) -> SymmetricMatrix:
-    rows = np.loadtxt(io.BytesIO(data), dtype=_EDGE_DTYPE, comments=None, ndmin=1)
-    i, j, w = rows["i"], rows["j"], rows["w"]
-    if min(i.min(), j.min()) < 0 or not np.all(np.isfinite(w)):
-        raise FormatError("negative index or non-finite weight")
+def _fast_dense(fh: IO[bytes]) -> SymmetricMatrix:
+    size = fh.seek(0, io.SEEK_END)
+    values = None
+    n = filled = 0
+    for block in _blocks(fh, _PLAIN_BYTES + b","):
+        rows = np.loadtxt(io.BytesIO(block), delimiter=",", comments=None, ndmin=2)
+        if values is None:
+            n = rows.shape[1]
+            # n^2 tokens need 2n^2 - 1 bytes: a file too short for its first
+            # row's width is declined before anything of size N exists.
+            if n < 2 or 2 * n * n - 1 > size:
+                raise FormatError("not a square matrix")
+            values = np.empty(n * (n - 1) // 2)
+        if rows.shape[1] != n or filled + rows.shape[0] > n:
+            raise FormatError("not a square matrix")
+        # from_dense drops the diagonal, where the line parser still
+        # rejects an overflowing token such as 1e400.
+        if not np.isfinite(rows).all():
+            raise FormatError("non-finite value")
+        if not _merge_rows(values, rows, filled, _SYMMETRY_RTOL):
+            raise FormatError("asymmetric")
+        filled += rows.shape[0]
+    if values is None or filled != n:
+        raise FormatError("not a square matrix")
+    return SymmetricMatrix.adopt(n, values)
+
+
+def _fast_upper_triangle(fh: IO[bytes]) -> SymmetricMatrix:
+    size = fh.seek(0, io.SEEK_END)
+    values = None
+    n_pairs = filled = 0
+    for rest in _blocks(fh, _PLAIN_BYTES):
+        while rest:
+            # At most _TOKENS at a time: a token's bytes object costs ~48
+            # bytes, 30 MiB for a block of two-digit scores.
+            tokens = rest.split(None, _TOKENS)
+            rest = tokens.pop() if len(tokens) > _TOKENS else b""
+            if values is None:
+                n = int(tokens.pop(0))
+                n_pairs = n * (n - 1) // 2
+                # N tokens need 2N - 1 bytes: a dimension too large for the
+                # file is declined before anything of size N exists.
+                if n < 2 or 2 * n_pairs + 1 > size:
+                    raise FormatError("dimension does not fit the file")
+                values = np.empty(n_pairs)
+            if filled + len(tokens) > n_pairs:
+                raise FormatError("too many values")
+            values[filled : filled + len(tokens)] = np.array(tokens, dtype=np.float64)
+            filled += len(tokens)
+    if values is None or filled != n_pairs:
+        raise FormatError("too few values")
+    return SymmetricMatrix.adopt(n, values)
+
+
+def _fast_edge_list(fh: IO[bytes]) -> SymmetricMatrix:
+    # A first pass counts the lines, so the second fills arrays of their size.
+    lines = sum(
+        block.count(b"\n") + (not block.endswith(b"\n")) for block in _blocks(fh, _PLAIN_BYTES)
+    )
+    i = np.empty(lines, dtype=np.int64)
+    j = np.empty(lines, dtype=np.int64)
+    w = np.empty(lines)
+    filled = 0
+    for block in _blocks(fh, _PLAIN_BYTES):
+        rows = np.loadtxt(io.BytesIO(block), dtype=_EDGE_DTYPE, comments=None, ndmin=1)
+        stop = filled + rows.shape[0]
+        i[filled:stop], j[filled:stop], w[filled:stop] = rows["i"], rows["j"], rows["w"]
+        filled = stop
+    i, j, w = i[:filled], j[:filled], w[:filled]
+    if not filled or min(i.min(), j.min()) < 0 or not np.all(np.isfinite(w)):
+        raise FormatError("no lines, a negative index or a non-finite weight")
     n = int(max(i.max(), j.max())) + 1
+    n_pairs = n * (n - 1) // 2
     # Each pair needs a line of its own. Checked in Python ints before any
-    # array of size n or N exists, so a huge index cannot overflow a key.
-    if n * (n - 1) // 2 > rows.shape[0]:
+    # key is built, so a huge index cannot overflow a key.
+    if n_pairs > filled:
         raise FormatError("fewer lines than pairs")
     off = i != j
-    if not off.any():
-        raise FormatError("no pair of distinct nodes")
-    lo = np.minimum(i[off], j[off])
-    hi = np.maximum(i[off], j[off])
-    keys = lo * (2 * n - lo - 1) // 2 + (hi - lo - 1)
+    if not off.all():
+        if not off.any():
+            raise FormatError("no pair of distinct nodes")
+        i, j, w = i[off], j[off], w[off]
+    del off
+    keys = i  # the pack key of each line, built in place over i
+    del i
+    for lo in range(0, keys.shape[0], _KEY_BLOCK):
+        a, b = keys[lo : lo + _KEY_BLOCK], j[lo : lo + _KEY_BLOCK]
+        low, high = np.minimum(a, b), np.maximum(a, b)
+        a[...] = low * (2 * n - low - 1) // 2 + (high - low - 1)
+    del j
+    if keys.shape[0] == n_pairs and all(
+        np.array_equal(keys[lo : lo + _KEY_BLOCK], np.arange(lo, min(lo + _KEY_BLOCK, n_pairs)))
+        for lo in range(0, n_pairs, _KEY_BLOCK)
+    ):
+        return SymmetricMatrix.adopt(n, w)  # every pair once, in pack order
     order = np.argsort(keys, kind="stable")  # repeats keep their line order
     keys = keys[order]
-    w = w[off][order]
+    w = w[order]
     repeat = keys[1:] == keys[:-1]
     if np.any(w[1:][repeat] != w[:-1][repeat]):
         raise FormatError("conflicting weights")
     # The last line of each pair wins, as in the dict. The keys left are
-    # distinct and in range, so the constructor's length check means that
-    # every pair is present.
-    return SymmetricMatrix(n, w[np.append(~repeat, True)])
+    # distinct and in range, so the length check means that every pair is
+    # present.
+    return SymmetricMatrix.adopt(n, w[np.append(~repeat, True)])
 
 
 def _parse(format: str, fh: IO[str]) -> SymmetricMatrix:

@@ -182,6 +182,14 @@ class TestDistributionSampling:
         d = stats.kstest(x, stats.pareto(b=3.0, scale=2.0).cdf)
         assert d.statistic < 0.01
 
+    @pytest.mark.parametrize("shape", [0.5, 1.0, 2.0, 3.0])
+    def test_pareto_in_place_keeps_the_bits(self, shape):
+        # Shape 1 takes numpy's reciprocal fast path, 0.5 its square.
+        x = Pareto(2.5, shape).sample(10_001, make_generator(7))
+        u = make_generator(7).random(10_001)
+        expected = 2.5 * (1.0 - u) ** (-1.0 / shape)
+        assert x.tobytes() == expected.tobytes()
+
 
 class TestSampleHomogeneous:
     def test_deterministic(self):

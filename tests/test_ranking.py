@@ -374,6 +374,28 @@ class TestTiePolicies:
         for c in counts.values():
             assert abs(c / trials - 1 / 6) < 0.05
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 40])
+    def test_tied_runs_keep_their_order_past_the_key_limit(self, n, monkeypatch):
+        # Above the int64 limit of the key "value group * N + random position"
+        # the runs are ordered by two argsorts; both routes give the
+        # reference ranks, signed zeros included.
+        n_pairs = n * (n - 1) // 2
+        rng = np.random.default_rng(n)
+        values = rng.choice([-0.0, 0.0, 1.0, -2.5, 3.0], size=n_pairs)
+        groups = np.unique(values).shape[0]  # -0.0 and 0.0 are one group
+        policy = TiePolicy.random(n)
+        expected = reference_ranks(values, policy).tobytes()
+        for limit in (groups * n_pairs, groups * n_pairs - 1, 0):
+            monkeypatch.setattr(ranking, "_COMPOSITE_KEY_LIMIT", limit)
+            assert kernel_ranks(values, policy).tobytes() == expected, limit
+
+    def test_shuffle_draws_the_permutation(self):
+        for n_pairs in (1, 2, 45, 10_007):
+            for dtype in (np.int32, np.int64):
+                got = ranking._shuffled_positions(n_pairs, dtype, 3)
+                assert got.dtype == dtype
+                assert np.array_equal(got, make_generator(3).permutation(n_pairs))
+
 
 class TestRankMatrixValidation:
     def test_accepts_valid_ranks(self):

@@ -4,7 +4,9 @@ import io
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -158,6 +160,17 @@ class TestSymmetricMatrix:
         arr = np.array([[0.0, 2.0], [2.0 + 1e-10, 0.0]])
         m = SymmetricMatrix.from_dense(arr)
         assert m.values[0] == pytest.approx(2.0 + 5e-11, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "upper, lower, pair", [(1.105, 1.0, "(1,0) and (0,1)"), (1.0, 1.105, "(0,1) and (1,0)")]
+    )
+    def test_from_dense_bounds_the_gap_by_either_entry(self, upper, lower, pair):
+        # The gap 0.105 is within 0.1 * 1.105 but not within 0.1 * 1.0:
+        # the pair is asymmetric whichever triangle holds the smaller entry.
+        arr = np.array([[0.0, upper, 4.0], [lower, 0.0, 2.0], [4.0, 2.0, 0.0]])
+        message = f"entries {pair} differ by 1.050e-01, beyond tolerance 1.000e-01"
+        with pytest.raises(AsymmetryError, match=f"^{re.escape(message)}$"):
+            SymmetricMatrix.from_dense(arr, rtol=0.1)
 
     def test_from_dense_rejects_non_square(self):
         with pytest.raises(FormatError):
@@ -607,6 +620,190 @@ def test_vectorized_parse_matches_line_parser(format, data):
         path = Path(tmp) / "m.txt"
         path.write_bytes(raw)
         assert _outcome(lambda: load_matrix(path, format=format)) == expected
+
+
+def _load_file(raw, format):
+    """``load_matrix``'s outcome on a file holding ``raw``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.txt"
+        path.write_bytes(raw)
+        return _outcome(lambda: load_matrix(path, format=format))
+
+
+@pytest.mark.parametrize("format", symmetric.FORMATS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_block_wise_parse_matches_line_parser(format, data):
+    # Blocks of a few bytes put block edges inside and between lines,
+    # between a CR and its LF, and inside the dimension's line; a few
+    # tokens or edge keys at a time split the work inside a block too.
+    # Patched in the body: hypothesis refuses function-scoped fixtures like
+    # monkeypatch.
+    text = data.draw(matrix_texts(format))
+    raw = text.encode("utf-8")
+    expected = _outcome(lambda: symmetric._parse(format, symmetric._utf8_lines(raw)))
+    with mock.patch.multiple(
+        symmetric,
+        _BLOCK_BYTES=data.draw(st.one_of(st.integers(1, 12), st.just(1 << 20))),
+        _TOKENS=data.draw(st.integers(1, 4)),
+        _KEY_BLOCK=data.draw(st.integers(1, 4)),
+    ):
+        fast = symmetric._parse_fast(format, raw)
+        if fast is not None:
+            assert expected == (fast.n, fast.values.view(np.uint64).tolist())
+        assert _load_file(raw, format) == expected
+
+
+@pytest.mark.parametrize("format", symmetric.FORMATS)
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_small_chunks_still_take_the_vectorized_parse(format, chunk, monkeypatch):
+    # Non-vacuity for the property above, where a decline is always safe:
+    # saved text read in one block, then converted a few tokens or edge keys
+    # at a time, is accepted.
+    monkeypatch.setattr(symmetric, "_TOKENS", chunk)
+    monkeypatch.setattr(symmetric, "_KEY_BLOCK", chunk)
+    m = random_symmetric(12, seed=chunk, low=-2.0, high=2.0)
+    buf = io.StringIO()
+    save_matrix(m, buf, format=format)
+    fast = symmetric._parse_fast(format, buf.getvalue().encode("ascii"))
+    assert fast is not None
+    assert fast.values.tobytes() == m.values.tobytes()
+
+
+class TestBlockReader:
+    def blocks(self, raw, plain=symmetric._PLAIN_BYTES + b","):
+        return list(symmetric._blocks(io.BytesIO(raw), plain))
+
+    @pytest.mark.parametrize("block_bytes", range(1, 12))
+    def test_crlf_split_between_reads_is_one_line_end(self, block_bytes, monkeypatch):
+        monkeypatch.setattr(symmetric, "_BLOCK_BYTES", block_bytes)
+        blocks = self.blocks(b"0,1.5\r\n1\n2\r\n3\n4,5\r6\r\n7\n8\r")
+        assert b"".join(blocks) == b"0,1.5\n1\n2\n3\n4,5\n6\n7\n8\n"
+        assert all(block.endswith(b"\n") for block in blocks)
+
+    def test_cr_ending_one_block_and_lf_starting_the_next(self, monkeypatch):
+        # The first read ends on the CR of "3 1\r\n" and the second starts
+        # with its LF: the CR waits for it, and no empty line appears.
+        monkeypatch.setattr(symmetric, "_BLOCK_BYTES", 4)
+        raw = b"3 1\r\n2\n3\n"
+        assert raw[:4].endswith(b"\r") and raw[4:5] == b"\n"
+        assert self.blocks(raw, symmetric._PLAIN_BYTES) == [b"3 1\n2\n", b"3\n"]
+        fast = symmetric._parse_fast("upper-triangle-text", raw)
+        assert fast is not None
+        assert fast.values.tolist() == [1.0, 2.0, 3.0]
+
+    def test_whitespace_blocks_are_skipped(self, monkeypatch):
+        monkeypatch.setattr(symmetric, "_BLOCK_BYTES", 2)
+        assert self.blocks(b"\n  \n3\n\t\n") == [b"3\n"]
+        assert self.blocks(b" \r\n") == []
+
+    def test_a_byte_outside_the_filter_declines(self, monkeypatch):
+        monkeypatch.setattr(symmetric, "_BLOCK_BYTES", 4)
+        with pytest.raises(FormatError):
+            self.blocks(b"0,1\n1,0\n# late\n")
+
+
+def test_asymmetry_in_a_later_block_gets_the_line_parsers_error(tmp_path, monkeypatch):
+    # Rows 0-34 are symmetric; only row 35, many blocks in, disagrees with
+    # row 3. The vectorized pass declines there, and the error is the one
+    # the line parser words for the whole matrix.
+    monkeypatch.setattr(symmetric, "_BLOCK_BYTES", 64)
+    dense = random_symmetric(40, seed=12).dense()
+    dense[35, 3] += 1e-3
+    lines = [",".join(repr(float(x)) for x in row) + "\n" for row in dense]
+    assert len("".join(lines[:35])) > 20 * 64
+    text = "".join(lines)
+    assert symmetric._parse_fast("dense-csv", text.encode("ascii")) is None
+    path = tmp_path / "m.csv"
+    path.write_text(text, encoding="ascii")
+    with pytest.raises(AsymmetryError) as from_file:
+        load_matrix(path)
+    with pytest.raises(AsymmetryError) as from_stream:
+        load_matrix(MatrixSource(format="dense-csv", stream=io.StringIO(text)))
+    assert str(from_file.value) == str(from_stream.value)
+    assert str(from_file.value) == (
+        "entries (3,35) and (35,3) differ by 1.000e-03, beyond tolerance 1.000e-09"
+    )
+
+
+def test_dimension_too_large_for_the_file_declines_before_allocating(tmp_path):
+    raw = b"100000000\n0.5\n0.25\n"
+    tracemalloc.start()
+    try:
+        fast = symmetric._parse_fast("upper-triangle-text", raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fast is None
+    assert peak < 1 << 20
+    path = tmp_path / "m.txt"
+    path.write_bytes(raw)
+    message = "expected 4999999950000000 values for n=100000000, got 2"
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        load_matrix(path, format="upper-triangle-text")
+
+
+def test_dense_row_too_wide_for_the_file_declines_before_allocating():
+    raw = (",".join(["0"] * 100_000) + "\n").encode("ascii")
+    tracemalloc.start()
+    try:
+        fast = symmetric._parse_fast("dense-csv", raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fast is None
+    assert peak < 8 << 20  # the packed array would be 40 GB
+
+
+class TestShuffledEdgeList:
+    def lines(self, n, seed):
+        m = random_symmetric(n, seed=seed, low=-3.0, high=3.0)
+        rows, cols = pair_indices(n)
+        lines = [f"{i} {j} {w!r}" for i, j, w in zip(rows.tolist(), cols.tolist(), m.values.tolist())]
+        np.random.default_rng(seed).shuffle(lines)
+        return m, lines
+
+    def test_duplicates_in_different_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(symmetric, "_BLOCK_BYTES", 32)
+        monkeypatch.setattr(symmetric, "_KEY_BLOCK", 4)
+        m, lines = self.lines(9, seed=4)
+        # The first pair again, reversed, at the end, and a self-loop in between.
+        i, j, w = lines[0].split()
+        lines += ["5 5 -7.0", f"{j} {i} {w}", lines[1]]
+        raw = ("\n".join(lines) + "\n").encode("ascii")
+        fast = symmetric._parse_fast("weighted-edge-list", raw)
+        assert fast is not None
+        assert fast.values.tobytes() == m.values.tobytes()
+        path = tmp_path / "m.txt"
+        path.write_bytes(raw)
+        assert load_matrix(path, format="weighted-edge-list") == m
+
+    def test_two_lines_out_of_pack_order(self):
+        # Only a pack-ordered list skips the sort; the first key being 0 and
+        # the count being N are not enough.
+        m = random_symmetric(9, seed=6)
+        rows, cols = pair_indices(9)
+        lines = [f"{i} {j} {w!r}" for i, j, w in zip(rows.tolist(), cols.tolist(), m.values.tolist())]
+        lines[3], lines[30] = lines[30], lines[3]
+        fast = symmetric._parse_fast("weighted-edge-list", ("\n".join(lines) + "\n").encode("ascii"))
+        assert fast is not None
+        assert fast.values.tobytes() == m.values.tobytes()
+
+    def test_conflicting_duplicate_in_a_later_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(symmetric, "_BLOCK_BYTES", 32)
+        _, lines = self.lines(9, seed=5)
+        i, j, w = lines[0].split()
+        lines.append(f"{j} {i} {float(w) + 1.0!r}")
+        text = "\n".join(lines) + "\n"
+        assert symmetric._parse_fast("weighted-edge-list", text.encode("ascii")) is None
+        path = tmp_path / "m.txt"
+        path.write_text(text, encoding="ascii")
+        expected = _outcome(
+            lambda: load_matrix(MatrixSource(format="weighted-edge-list", stream=io.StringIO(text)))
+        )
+        assert expected[0] is FormatError
+        assert expected[1].startswith(f"line {len(lines)}: pair ")
+        assert _outcome(lambda: load_matrix(path, format="weighted-edge-list")) == expected
 
 
 def test_save_handles_extreme_values(tmp_path):

@@ -7,6 +7,11 @@ and after. Covered outputs:
   of its arrays (sorted by name), at threads 1 and 2;
 - the per-replicate dump CSVs of the rejection-rate and null experiments;
 - the files written by the CLI's ``esd``, ``qq`` and ``simulate``;
+- the CLI's ``test`` report on a seeded n=300 matrix in each text format,
+  with LF and with CRLF line ends, on a file of tied integer scores with
+  ``--ties random``, and the exit code and stderr record of an asymmetric
+  dense file. The files are written here with ``repr`` of each float, not
+  with ``save_matrix``, so a change to the writer cannot change the input;
 - every ``reproduce`` target at ``--scale 0.05``.
 
 CSV files are hashed as bytes. JSON files are hashed after dropping every
@@ -162,6 +167,69 @@ def cli_outputs(out: Path) -> list[Path]:
     return written
 
 
+TEST_N = 300
+TEST_SEED = 31
+
+
+def _text_lines(format: str, tokens: list[str]) -> list[str]:
+    """The lines of a ``format`` file of the packed ``tokens`` at n = TEST_N."""
+    rows, cols = np.triu_indices(TEST_N, k=1)
+    if format == "upper-triangle-text":
+        return [str(TEST_N)] + tokens
+    if format == "weighted-edge-list":
+        return [f"{i} {j} {t}" for i, j, t in zip(rows.tolist(), cols.tolist(), tokens)]
+    dense = np.full((TEST_N, TEST_N), "0.0", dtype=object)
+    dense[rows, cols] = tokens
+    dense[cols, rows] = tokens
+    return [",".join(row) for row in dense]
+
+
+def cli_test_runs(out: Path) -> list[tuple[str, list[str], Path]]:
+    """(label, argv, report path) of each ``rankspectral test`` run, after writing its input."""
+    folder = out / "test"
+    folder.mkdir(parents=True, exist_ok=True)
+    rng = np.random.Generator(np.random.PCG64(TEST_SEED))
+    n_pairs = TEST_N * (TEST_N - 1) // 2
+    values = rng.standard_normal(n_pairs) + 0.3 * (np.arange(n_pairs) % 7 == 0)
+    tokens = list(map(repr, values.tolist()))
+    scores = [str(x) for x in rng.integers(0, 100, n_pairs).tolist()]
+    runs = []
+
+    def add(label: str, format: str, lines: list[str], newline: str, *extra: str) -> None:
+        path, report = folder / f"{label}.txt", folder / f"{label}.json"
+        path.write_bytes(newline.join(lines).encode("ascii") + newline.encode("ascii"))
+        argv = ["test", str(path), "--format", format, "--out", str(report), *extra]
+        runs.append((label, argv, report))
+
+    for format in ("dense-csv", "upper-triangle-text", "weighted-edge-list"):
+        lines = _text_lines(format, tokens)
+        add(format, format, lines, "\n")
+        add(f"{format}-crlf", format, lines, "\r\n")
+    ties = _text_lines("upper-triangle-text", scores)
+    add("ties", "upper-triangle-text", ties, "\n", "--ties", "random", "--seed", "5")
+    # Entry (n-1, 2) of the last row moved off its mirror (2, n-1).
+    rows = [line.split(",") for line in _text_lines("dense-csv", tokens)]
+    rows[-1][2] = repr(float(rows[-1][2]) + 1e-3)
+    add("asymmetric", "dense-csv", [",".join(row) for row in rows], "\n")
+    return runs
+
+
+def cli_test_outputs(out: Path):
+    """(hash, label) per ``test`` run: its report, or its exit code and stderr."""
+    for label, argv, report in cli_test_runs(out):
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            try:
+                code = cli_main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        if code in (0, 10):
+            digest = file_hash(report)
+        else:
+            digest = sha(f"exit {code}\n{stderr.getvalue()}".encode())
+        yield digest, f"{label} exit={code}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", help="directory for the outputs; use the same one for both runs")
@@ -176,6 +244,8 @@ def main() -> int:
                 print(f"{file_hash(dump)}  dump {dump.name}")
     for path in cli_outputs(out):
         print(f"{file_hash(path)}  cli {path.relative_to(out)}")
+    for digest, label in cli_test_outputs(out):
+        print(f"{digest}  test {label}", flush=True)
     for target in TARGETS:
         paths = reproduce_target(
             target, seed=1, out_dir=out / "reproduce", scale=REPRODUCE_SCALE,
