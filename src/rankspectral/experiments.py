@@ -22,7 +22,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -121,21 +121,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {
-            "experiment",
-            "n",
-            "replicates",
-            "master_seed",
-            "alpha",
-            "f1",
-            "f2",
-            "n1",
-            "threads",
-        }
-        unknown = set(data) - known
+        names = {f.name: f.default for f in fields(cls)}
+        unknown = set(data) - set(names)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        missing = {"experiment", "n", "replicates", "master_seed"} - set(data)
+        missing = {name for name, default in names.items() if default is MISSING} - set(data)
         if missing:
             raise ValueError(f"missing config fields: {sorted(missing)}")
         cfg = cls(**data)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import make_generator
-from .symmetric import SymmetricMatrix
+from .symmetric import SymmetricMatrix, from_upper_packed, row_major_index, upper_slots
 
 
 class TieError(ValueError):
@@ -62,22 +62,22 @@ class RankMatrix(SymmetricMatrix):
     The packed values must be exactly a permutation of k/(N+1) for
     k = 1..N; the constructor verifies this.
 
-    A matrix from :func:`rank_transform` stores only ``blas``, its ranks in
-    the upper-packed layout that BLAS ``dspmv`` reads: ``blas[j(j+1)/2 + i]``
-    is entry (i, j) for i <= j, and the diagonal slots are zero. The
-    eigensolver reads that buffer as it is, with no pack step. The
-    row-major ``values`` are derived from it on first access, then cached
-    and read-only. A matrix from the constructor stores ``values`` and has
-    ``blas`` None.
+    Every rank matrix holds ``blas``, its ranks in the upper-packed layout
+    (see :mod:`rankspectral.symmetric`), read-only, and hands it to the
+    eigensolver with no pack step. A matrix from :func:`rank_transform`
+    holds only ``blas``; its row-major ``values`` are derived on first
+    access, then cached and read-only. The constructor packs once.
     """
 
-    blas: np.ndarray | None = None
+    blas: np.ndarray
 
     def __init__(self, n: int, values: np.ndarray) -> None:
         super().__init__(n, values)
         expected = np.arange(1, self.n_pairs + 1) / (self.n_pairs + 1)
         if not np.array_equal(np.sort(self.values), expected):
             raise ValueError("values are not a permutation of k/(N+1), k=1..N")
+        self.blas = super().upper_packed()
+        self.blas.flags.writeable = False
 
     @classmethod
     def _from_blas(cls, n: int, blas: np.ndarray) -> "RankMatrix":
@@ -88,18 +88,15 @@ class RankMatrix(SymmetricMatrix):
         result.blas = blas
         return result
 
+    def upper_packed(self) -> np.ndarray:
+        """``blas`` itself, read-only: no copy and no pack step."""
+        return self.blas
+
     @functools.cached_property
     def values(self) -> np.ndarray:
         # Only reached for a matrix from rank_transform: the constructor
         # stores ``values`` on the instance, which shadows this property.
-        # Column j of the buffer, blas[j(j+1)/2 : j(j+1)/2 + j], holds the
-        # entries (i, j), i < j, at row-major positions row_base[i] + j.
-        values = np.empty(self.n_pairs)
-        row_base = _row_base(self.n)
-        start = 0
-        for j in range(1, self.n):
-            start += j
-            values[row_base[:j] + j] = self.blas[start : start + j]
+        values = from_upper_packed(self.blas, self.n)
         values.flags.writeable = False
         return values
 
@@ -180,24 +177,13 @@ def rank_transform(matrix: SymmetricMatrix, policy: TiePolicy | None = None) -> 
     del keys
     if in_run is not None:
         slots = order[in_run]
-        order[in_run] = slots[_order_runs(a, _row_major_index(slots, n), policy)]
+        order[in_run] = slots[_order_runs(a, row_major_index(slots, n), policy)]
         del in_run, slots
     ranks = np.zeros(n_slots)
     for lo in range(0, n_pairs, _BLOCK):
         hi = min(lo + _BLOCK, n_pairs)
         ranks[order[lo:hi]] = np.arange(lo + 1, hi + 1, dtype=np.float64) / (n_pairs + 1)
     return RankMatrix._from_blas(n, ranks)
-
-
-def _triangular(n: int) -> np.ndarray:
-    """tri[j] = j(j+1)/2 for j = 0..n: the BLAS slot of entry (0, j)."""
-    return np.cumsum(np.arange(n + 1))
-
-
-def _row_base(n: int) -> np.ndarray:
-    """row_base[i] = pack_index(i, j, n) - j: row i's row-major offset."""
-    i = np.arange(n)
-    return i * (2 * n - i - 1) // 2 - i - 1
 
 
 def _order_dtype(n_slots: int) -> type:
@@ -208,19 +194,13 @@ def _order_dtype(n_slots: int) -> type:
 def _sort_keys(a: np.ndarray, n: int, bits: int) -> np.ndarray:
     """Sorted int64 keys: each value's order key, low ``bits`` bits its BLAS slot.
 
-    The slots are written row by row (row i holds tri[i+1:] + i), then the
-    high bits are or-ed in per block. The key of a float64 is its magnitude
-    bits, negated for a negative sign; this orders keys exactly as the
-    values and maps -0.0 to 0 as well.
+    The slots are written by :func:`rankspectral.symmetric.upper_slots`,
+    then the high bits are or-ed in per block. The key of a float64 is its
+    magnitude bits, negated for a negative sign; this orders keys exactly as
+    the values and maps -0.0 to 0 as well.
     """
     raw = a.view(np.int64)
-    keys = np.empty(a.shape[0], dtype=np.int64)
-    tri = _triangular(n)
-    start = 0
-    for i in range(n - 1):
-        stop = start + n - 1 - i
-        np.add(tri[i + 1 : n], i, out=keys[start:stop])
-        start = stop
+    keys = upper_slots(n)
     high = np.empty(min(_BLOCK, a.shape[0]), dtype=np.int64)
     for lo in range(0, a.shape[0], _BLOCK):
         hi = min(lo + _BLOCK, a.shape[0])
@@ -265,26 +245,6 @@ def _slot_order(keys: np.ndarray, bits: int, dtype: type) -> np.ndarray:
         block &= low
         order[lo : lo + _BLOCK] = block
     return order
-
-
-def _row_major_index(slots: np.ndarray, n: int) -> np.ndarray:
-    """Row-major packed position of each off-diagonal BLAS slot j(j+1)/2 + i.
-
-    The column j comes from a float square-root estimate, corrected by one
-    step each way against the exact table tri; then the position is
-    row_base[i] + j. Done in blocks, with no int64 division.
-    """
-    tri = _triangular(n)
-    row_base = _row_base(n)
-    out = np.empty(slots.shape[0], dtype=slots.dtype)
-    for lo in range(0, slots.shape[0], _BLOCK):
-        slot = slots[lo : lo + _BLOCK].astype(np.int64)
-        j = ((np.sqrt(8.0 * slot + 1.0) - 1.0) * 0.5).astype(np.int64)
-        np.minimum(j, n - 1, out=j)
-        j -= tri[j] > slot
-        j += tri[j + 1] <= slot
-        out[lo : lo + _BLOCK] = row_base[slot - tri[j]] + j
-    return out
 
 
 def _order_runs(a: np.ndarray, index: np.ndarray, policy: TiePolicy) -> np.ndarray:

@@ -16,7 +16,6 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.linalg.blas import dspmv
 
-from .ranking import RankMatrix
 from .rng import make_generator
 from .symmetric import SymmetricMatrix
 
@@ -43,33 +42,6 @@ class EigenPair:
     vector: np.ndarray
     iterations: int
     residual: float
-
-
-def _packed_blas(matrix: SymmetricMatrix) -> np.ndarray:
-    """Upper-packed BLAS buffer: ap[j(j+1)/2 + i] = entry (i, j), i <= j.
-
-    Built only for matrices that hold no such buffer: sampled matrices
-    (such as ``sample_interpolated_rank``'s), loaded data and rank matrices
-    from the ``RankMatrix`` constructor. A rank matrix from
-    ``rank_transform`` is ranked straight into this layout.
-
-    Filled one column at a time: column j is the contiguous slice
-    ap[j(j+1)/2 : j(j+1)/2 + j], gathered from packed positions
-    row_base[i] + j, i < j. No index array of length N is built, and the
-    buffer is the same, bit for bit, as a scatter through pair indices.
-    The upper layout is kept on purpose: the row-major values are already
-    the lower-packed layout minus its diagonal, but ``dspmv`` sums the
-    lower layout in another order, which changes the last bits of results.
-    """
-    n = matrix.n
-    i = np.arange(n)
-    row_base = i * (2 * n - i - 1) // 2 - i - 1  # pack_index(i, j, n) - j
-    ap = np.zeros(n * (n + 1) // 2)
-    start = 0
-    for j in range(1, n):
-        start += j
-        np.take(matrix.values, row_base[:j] + j, out=ap[start : start + j])
-    return ap
 
 
 def _frobenius(matrix: SymmetricMatrix) -> float:
@@ -106,9 +78,9 @@ def leading_eigenpair(
     iteration restarts once from a fixed-seed random vector; spiked matrices
     have their dominant eigenvalue of order n/2, far above that floor.
 
-    A :class:`RankMatrix` from ``rank_transform`` already holds the BLAS
-    buffer ``dspmv`` reads, and the solver uses it as it is; any other
-    matrix is packed into a new buffer of n(n+1)/2 entries first.
+    ``dspmv`` reads the matrix's :meth:`~SymmetricMatrix.upper_packed`
+    buffer: a rank matrix hands over the buffer it holds, and any other
+    matrix packs a new one of n(n+1)/2 entries.
 
     Raises
     ------
@@ -127,9 +99,7 @@ def leading_eigenpair(
         if norm == 0.0:
             raise ValueError("start vector must be nonzero")
         v /= norm
-    ap = matrix.blas if isinstance(matrix, RankMatrix) else None
-    if ap is None:
-        ap = _packed_blas(matrix)
+    ap = matrix.upper_packed()
     # ||M||_F^2 is twice the sum of squares of the off-diagonal buffer entries.
     resid_floor = math.sqrt(2.0 * float(ap @ ap)) / math.sqrt(n)
     lam_prev = math.inf

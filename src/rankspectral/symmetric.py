@@ -1,10 +1,15 @@
-"""Hollow symmetric matrices in packed upper-triangle storage.
+"""Hollow symmetric matrices in packed storage, and the map between two layouts.
 
 An n x n symmetric matrix with zero diagonal is stored as the vector of its
 N = n(n-1)/2 strict upper-triangle entries in lexicographic (row-major) pair
-order, the same order as ``np.triu_indices(n, 1)``. All other modules build
-on this representation; dense form is materialized only where LAPACK needs
-it.
+order, the same order as ``np.triu_indices(n, 1)``: entry (i, j), i < j, at
+``row_offsets(n)[i] + j``. The eigensolver reads the upper-packed layout of
+BLAS ``dspmv`` instead: n(n+1)/2 slots, column by column, entry (i, j),
+i <= j, at ``triangular(n)[j] + i``, zero diagonal. (The row-major values
+are the lower-packed layout less its diagonal, but ``dspmv`` sums that
+layout in another order, which changes the last bits of results.) This
+module owns the map between the two; no other module computes a position
+in either. Dense form is materialized only where LAPACK needs it.
 """
 
 from __future__ import annotations
@@ -60,6 +65,73 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, k=1)
 
 
+def row_offsets(n: int) -> np.ndarray:
+    """offsets[i] = pack_index(i, j, n) - j, i = 0..n-1: row i's row-major offset."""
+    i = np.arange(n)
+    return i * (2 * n - i - 1) // 2 - i - 1
+
+
+def triangular(n: int) -> np.ndarray:
+    """tri[j] = j(j+1)/2, j = 0..n: the upper-packed slot of entry (0, j)."""
+    return np.cumsum(np.arange(n + 1))
+
+
+def _columns(n: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """Column j = 1..n-1 as (its upper-packed slots, the row-major positions of its entries)."""
+    offsets, tri = row_offsets(n), triangular(n)
+    for j in range(1, n):
+        yield slice(tri[j], tri[j] + j), offsets[:j] + j
+
+
+def to_upper_packed(values: np.ndarray, n: int) -> np.ndarray:
+    """The upper-packed buffer of row-major ``values``, gathered a column at a time."""
+    ap = np.zeros(n * (n + 1) // 2)
+    for column, rows in _columns(n):
+        np.take(values, rows, out=ap[column])
+    return ap
+
+
+def from_upper_packed(ap: np.ndarray, n: int) -> np.ndarray:
+    """The row-major values of an upper-packed buffer: :func:`to_upper_packed` undone."""
+    values = np.empty(n * (n - 1) // 2)
+    for column, rows in _columns(n):
+        values[rows] = ap[column]
+    return values
+
+
+def upper_slots(n: int) -> np.ndarray:
+    """The int64 upper-packed slot of each row-major position, written a row at a time."""
+    out = np.empty(n * (n - 1) // 2, dtype=np.int64)
+    tri = triangular(n)
+    start = 0
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        np.add(tri[i + 1 : n], i, out=out[start:stop])  # row i: slots tri[j] + i, j > i
+        start = stop
+    return out
+
+
+def row_major_index(slots: np.ndarray, n: int) -> np.ndarray:
+    """Row-major position of each off-diagonal upper-packed slot j(j+1)/2 + i.
+
+    The column j comes from a float square-root estimate, corrected by one
+    step each way against the exact table tri; then the position is
+    row_offsets[i] + j. Done in blocks, with no int64 division, and returned
+    in the dtype of ``slots``.
+    """
+    tri = triangular(n)
+    offsets = row_offsets(n)
+    out = np.empty(slots.shape[0], dtype=slots.dtype)
+    for lo in range(0, slots.shape[0], _KEY_BLOCK):
+        slot = slots[lo : lo + _KEY_BLOCK].astype(np.int64)
+        j = ((np.sqrt(8.0 * slot + 1.0) - 1.0) * 0.5).astype(np.int64)
+        np.minimum(j, n - 1, out=j)
+        j -= tri[j] > slot
+        j += tri[j + 1] <= slot
+        out[lo : lo + _KEY_BLOCK] = offsets[slot - tri[j]] + j
+    return out
+
+
 def _checked_values(n: int, vals: np.ndarray) -> np.ndarray:
     """``vals`` made read-only, once n, its shape and its entries are valid."""
     if n < 2:
@@ -102,6 +174,10 @@ class SymmetricMatrix:
         matrix.n = n
         matrix.values = _checked_values(n, values)
         return matrix
+
+    def upper_packed(self) -> np.ndarray:
+        """A new buffer of the entries in the upper-packed layout ``dspmv`` reads."""
+        return to_upper_packed(self.values, self.n)
 
     @property
     def n_pairs(self) -> int:
@@ -178,12 +254,11 @@ def _merge_rows(values: np.ndarray, rows: np.ndarray, first: int, rtol: float) -
     |entry|)`` for either of its two entries.
     """
     n = rows.shape[1]
-    k = np.arange(n)
-    column = k * (2 * n - k - 1) // 2 - k - 1  # pack_index(j, g, n) = column[j] + g
+    offsets = row_offsets(n)
     for g, row in enumerate(rows, start=first):
-        start = column[g] + g + 1
+        start = offsets[g] + g + 1
         values[start : start + n - 1 - g] = row[g + 1 :]
-        at = column[:g] + g
+        at = offsets[:g] + g
         upper = values[at]
         lower = row[:g]
         if np.array_equal(upper, lower):
@@ -325,14 +400,9 @@ def _utf8_lines(data: bytes) -> IO[str]:
 _PLAIN_BYTES = b"0123456789+-.eE \t\n"
 _EDGE_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 _BLOCK_BYTES = 1 << 20
-# Entries per block of the edge-key build and its checks, and tokens per
-# conversion of upper-triangle text.
+# Entries per block of the edge-key build and its checks and of
+# row_major_index, and tokens per conversion of upper-triangle text.
 _KEY_BLOCK = _TOKENS = 1 << 16
-
-
-def _parse_fast(format: str, data: bytes) -> SymmetricMatrix | None:
-    """The vectorized parse of ``data``: the pass :func:`load_matrix` runs on a file."""
-    return _parse_blocks(format, io.BytesIO(data))
 
 
 def _parse_blocks(format: str, fh: IO[bytes]) -> SymmetricMatrix | None:
@@ -468,10 +538,10 @@ def _fast_edge_list(fh: IO[bytes]) -> SymmetricMatrix:
     del off
     keys = i  # the pack key of each line, built in place over i
     del i
+    offsets = row_offsets(n)
     for lo in range(0, keys.shape[0], _KEY_BLOCK):
         a, b = keys[lo : lo + _KEY_BLOCK], j[lo : lo + _KEY_BLOCK]
-        low, high = np.minimum(a, b), np.maximum(a, b)
-        a[...] = low * (2 * n - low - 1) // 2 + (high - low - 1)
+        a[...] = offsets[np.minimum(a, b)] + np.maximum(a, b)
     del j
     if keys.shape[0] == n_pairs and all(
         np.array_equal(keys[lo : lo + _KEY_BLOCK], np.arange(lo, min(lo + _KEY_BLOCK, n_pairs)))

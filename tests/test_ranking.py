@@ -17,7 +17,6 @@ from rankspectral import (
     moments,
     rank_transform,
     ranking,
-    spectra,
     whiten,
 )
 
@@ -242,7 +241,7 @@ class TestBlasLayout:
                     assert str(raised.value) == str(exc), label
                     continue
                 r = rank_transform(m, policy)
-                packed = spectra._packed_blas(SymmetricMatrix(n, expected))
+                packed = SymmetricMatrix(n, expected).upper_packed()
                 assert r.blas.tobytes() == packed.tobytes(), (label, policy)
 
     def test_inputs_reach_collision_runs_and_ties(self, monkeypatch):
@@ -282,31 +281,7 @@ class TestBlasLayout:
 
     def test_constructed_rank_matrix_keeps_its_values(self):
         r = RankMatrix(3, [0.75, 0.25, 0.5])
-        assert r.blas is None
         assert np.array_equal(r.values, [0.75, 0.25, 0.5])
-
-    def test_row_major_index_is_exact(self):
-        for n in range(2, 301):
-            rows, cols = np.triu_indices(n, k=1)
-            slots = cols * (cols + 1) // 2 + rows
-            for dtype in (np.int32, np.int64):
-                got = ranking._row_major_index(slots.astype(dtype), n)
-                assert np.array_equal(got, np.arange(n * (n - 1) // 2)), (n, dtype)
-
-    @pytest.mark.parametrize("n", [65535, 65536])
-    def test_row_major_index_near_the_int32_limit(self, n):
-        # Slots at both ends of the first, middle and last columns, where
-        # j(j+1)/2 is closest to the float square root's rounding.
-        pairs = [
-            (i, j)
-            for j in (1, 2, 3, n // 2, n - 3, n - 2, n - 1)
-            for i in (0, 1, j // 2, j - 2, j - 1)
-            if 0 <= i < j
-        ]
-        dtype = ranking._order_dtype(n * (n + 1) // 2)
-        slots = np.array([j * (j + 1) // 2 + i for i, j in pairs], dtype=dtype)
-        expected = [i * (2 * n - i - 1) // 2 + (j - i - 1) for i, j in pairs]
-        assert ranking._row_major_index(slots, n).tolist() == expected
 
     def test_order_dtype_flips_at_two_to_the_31(self):
         assert ranking._order_dtype(2**31 - 1) is np.int32

@@ -18,7 +18,7 @@ from rankspectral import (
     semicircle_cdf,
     subspace_distance_sq,
 )
-from rankspectral import spectra
+from rankspectral import symmetric
 from rankspectral.rng import make_generator
 
 from conftest import random_symmetric
@@ -111,7 +111,10 @@ class TestPackedBlas:
         rows, cols = np.triu_indices(n, k=1)
         expected = np.zeros(n * (n + 1) // 2)
         expected[cols * (cols + 1) // 2 + rows] = m.values
-        assert spectra._packed_blas(m).tobytes() == expected.tobytes()
+        packed = m.upper_packed()
+        assert packed.tobytes() == expected.tobytes()
+        # And back: row-major -> upper-packed -> row-major is the identity.
+        assert symmetric.from_upper_packed(packed, n).tobytes() == m.values.tobytes()
 
 
 class TestPrepackedRankMatrix:
@@ -124,7 +127,7 @@ class TestPrepackedRankMatrix:
         def no_pack(matrix):
             raise AssertionError("a rank matrix from rank_transform was packed again")
 
-        monkeypatch.setattr(spectra, "_packed_blas", no_pack)
+        monkeypatch.setattr(SymmetricMatrix, "upper_packed", no_pack)
         pair = leading_eigenpair(ranked)
         assert (pair.value, pair.iterations, pair.residual) == (
             expected.value,
@@ -135,7 +138,9 @@ class TestPrepackedRankMatrix:
 
     def test_constructed_rank_matrix_is_packed(self):
         ranked = rank_values_matrix(9, 1)
-        a = leading_eigenpair(RankMatrix(9, ranked.values))
+        constructed = RankMatrix(9, ranked.values)
+        assert constructed.upper_packed().tobytes() == ranked.upper_packed().tobytes()
+        a = leading_eigenpair(constructed)
         b = leading_eigenpair(ranked)
         assert (a.value, a.iterations, a.residual) == (b.value, b.iterations, b.residual)
         assert a.vector.tobytes() == b.vector.tobytes()

@@ -82,6 +82,35 @@ class TestPackIndex:
         assert np.array_equal(cols, cu)
 
 
+class TestLayouts:
+    """The map between the row-major and the upper-packed layout."""
+
+    def test_row_major_index_is_exact(self):
+        for n in range(2, 301):
+            rows, cols = np.triu_indices(n, k=1)
+            slots = cols * (cols + 1) // 2 + rows
+            assert np.array_equal(symmetric.upper_slots(n), slots), n
+            for dtype in (np.int32, np.int64):
+                got = symmetric.row_major_index(slots.astype(dtype), n)
+                assert np.array_equal(got, np.arange(n * (n - 1) // 2)), (n, dtype)
+
+    @pytest.mark.parametrize("n", [65535, 65536])
+    def test_row_major_index_near_the_int32_limit(self, n):
+        # Slots at both ends of the first, middle and last columns, where
+        # j(j+1)/2 is closest to the float square root's rounding. n = 65535
+        # is the largest dimension whose slots fit in int32.
+        pairs = [
+            (i, j)
+            for j in (1, 2, 3, n // 2, n - 3, n - 2, n - 1)
+            for i in (0, 1, j // 2, j - 2, j - 1)
+            if 0 <= i < j
+        ]
+        dtype = np.int32 if n == 65535 else np.int64
+        slots = np.array([j * (j + 1) // 2 + i for i, j in pairs], dtype=dtype)
+        expected = [i * (2 * n - i - 1) // 2 + (j - i - 1) for i, j in pairs]
+        assert symmetric.row_major_index(slots, n).tolist() == expected
+
+
 class TestSymmetricMatrix:
     def test_basic_storage(self):
         m = SymmetricMatrix(3, [5.0, 1.0, 3.0])
@@ -289,7 +318,7 @@ class TestRoundTrips:
         buf = io.StringIO()
         save_matrix(m, buf, format=format)
         text = buf.getvalue().replace("\n", newline)
-        fast = symmetric._parse_fast(format, text.encode("ascii"))
+        fast = symmetric._parse_blocks(format, io.BytesIO(text.encode("ascii")))
         assert fast is not None
         assert fast.n == m.n
         assert np.array_equal(fast.values.view(np.uint64), m.values.view(np.uint64))
@@ -303,7 +332,7 @@ class TestRoundTrips:
         tokens = [repr(float(v)) for v in m.values]
         lines = [" ".join(tokens[k : k + width]) for k in range(0, len(tokens), width)]
         text = "12 " + "\n".join(lines) + "\n"
-        fast = symmetric._parse_fast("upper-triangle-text", text.encode("ascii"))
+        fast = symmetric._parse_blocks("upper-triangle-text", io.BytesIO(text.encode("ascii")))
         assert fast is not None
         assert np.array_equal(fast.values.view(np.uint64), m.values.view(np.uint64))
 
@@ -613,7 +642,7 @@ def test_vectorized_parse_matches_line_parser(format, data):
     text = data.draw(matrix_texts(format))
     raw = text.encode("utf-8")
     expected = _outcome(lambda: symmetric._parse(format, symmetric._utf8_lines(raw)))
-    fast = symmetric._parse_fast(format, raw)
+    fast = symmetric._parse_blocks(format, io.BytesIO(raw))
     if fast is not None:
         assert expected == (fast.n, fast.values.view(np.uint64).tolist())
     with tempfile.TemporaryDirectory() as tmp:
@@ -648,7 +677,7 @@ def test_block_wise_parse_matches_line_parser(format, data):
         _TOKENS=data.draw(st.integers(1, 4)),
         _KEY_BLOCK=data.draw(st.integers(1, 4)),
     ):
-        fast = symmetric._parse_fast(format, raw)
+        fast = symmetric._parse_blocks(format, io.BytesIO(raw))
         if fast is not None:
             assert expected == (fast.n, fast.values.view(np.uint64).tolist())
         assert _load_file(raw, format) == expected
@@ -665,7 +694,7 @@ def test_small_chunks_still_take_the_vectorized_parse(format, chunk, monkeypatch
     m = random_symmetric(12, seed=chunk, low=-2.0, high=2.0)
     buf = io.StringIO()
     save_matrix(m, buf, format=format)
-    fast = symmetric._parse_fast(format, buf.getvalue().encode("ascii"))
+    fast = symmetric._parse_blocks(format, io.BytesIO(buf.getvalue().encode("ascii")))
     assert fast is not None
     assert fast.values.tobytes() == m.values.tobytes()
 
@@ -688,7 +717,7 @@ class TestBlockReader:
         raw = b"3 1\r\n2\n3\n"
         assert raw[:4].endswith(b"\r") and raw[4:5] == b"\n"
         assert self.blocks(raw, symmetric._PLAIN_BYTES) == [b"3 1\n2\n", b"3\n"]
-        fast = symmetric._parse_fast("upper-triangle-text", raw)
+        fast = symmetric._parse_blocks("upper-triangle-text", io.BytesIO(raw))
         assert fast is not None
         assert fast.values.tolist() == [1.0, 2.0, 3.0]
 
@@ -713,7 +742,7 @@ def test_asymmetry_in_a_later_block_gets_the_line_parsers_error(tmp_path, monkey
     lines = [",".join(repr(float(x)) for x in row) + "\n" for row in dense]
     assert len("".join(lines[:35])) > 20 * 64
     text = "".join(lines)
-    assert symmetric._parse_fast("dense-csv", text.encode("ascii")) is None
+    assert symmetric._parse_blocks("dense-csv", io.BytesIO(text.encode("ascii"))) is None
     path = tmp_path / "m.csv"
     path.write_text(text, encoding="ascii")
     with pytest.raises(AsymmetryError) as from_file:
@@ -730,7 +759,7 @@ def test_dimension_too_large_for_the_file_declines_before_allocating(tmp_path):
     raw = b"100000000\n0.5\n0.25\n"
     tracemalloc.start()
     try:
-        fast = symmetric._parse_fast("upper-triangle-text", raw)
+        fast = symmetric._parse_blocks("upper-triangle-text", io.BytesIO(raw))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -747,7 +776,7 @@ def test_dense_row_too_wide_for_the_file_declines_before_allocating():
     raw = (",".join(["0"] * 100_000) + "\n").encode("ascii")
     tracemalloc.start()
     try:
-        fast = symmetric._parse_fast("dense-csv", raw)
+        fast = symmetric._parse_blocks("dense-csv", io.BytesIO(raw))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -771,7 +800,7 @@ class TestShuffledEdgeList:
         i, j, w = lines[0].split()
         lines += ["5 5 -7.0", f"{j} {i} {w}", lines[1]]
         raw = ("\n".join(lines) + "\n").encode("ascii")
-        fast = symmetric._parse_fast("weighted-edge-list", raw)
+        fast = symmetric._parse_blocks("weighted-edge-list", io.BytesIO(raw))
         assert fast is not None
         assert fast.values.tobytes() == m.values.tobytes()
         path = tmp_path / "m.txt"
@@ -785,7 +814,8 @@ class TestShuffledEdgeList:
         rows, cols = pair_indices(9)
         lines = [f"{i} {j} {w!r}" for i, j, w in zip(rows.tolist(), cols.tolist(), m.values.tolist())]
         lines[3], lines[30] = lines[30], lines[3]
-        fast = symmetric._parse_fast("weighted-edge-list", ("\n".join(lines) + "\n").encode("ascii"))
+        raw = ("\n".join(lines) + "\n").encode("ascii")
+        fast = symmetric._parse_blocks("weighted-edge-list", io.BytesIO(raw))
         assert fast is not None
         assert fast.values.tobytes() == m.values.tobytes()
 
@@ -795,7 +825,8 @@ class TestShuffledEdgeList:
         i, j, w = lines[0].split()
         lines.append(f"{j} {i} {float(w) + 1.0!r}")
         text = "\n".join(lines) + "\n"
-        assert symmetric._parse_fast("weighted-edge-list", text.encode("ascii")) is None
+        raw = text.encode("ascii")
+        assert symmetric._parse_blocks("weighted-edge-list", io.BytesIO(raw)) is None
         path = tmp_path / "m.txt"
         path.write_text(text, encoding="ascii")
         expected = _outcome(
