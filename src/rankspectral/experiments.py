@@ -473,7 +473,7 @@ def operator_norm_tail_experiment(
 
     def worker(i: int) -> tuple:
         ranked = _ranked_null(n, derive_seed(seed, i))
-        eigs = full_spectrum(SymmetricMatrix(n, ranked.values - 0.5))
+        eigs = full_spectrum(SymmetricMatrix.adopt(n, ranked.values - 0.5))
         return (max(abs(float(eigs[0])), abs(float(eigs[-1]))),)
 
     arrays = _replicate_columns(("norm",), worker, replicates, threads)

@@ -99,16 +99,22 @@ def from_upper_packed(ap: np.ndarray, n: int) -> np.ndarray:
     return values
 
 
-def upper_slots(n: int) -> np.ndarray:
-    """The int64 upper-packed slot of each row-major position, written a row at a time."""
-    out = np.empty(n * (n - 1) // 2, dtype=np.int64)
+def diagonal_slots(n: int) -> np.ndarray:
+    """slot[j] = j(j+1)/2 + j, j = 0..n-1: the upper-packed slot of diagonal entry (j, j)."""
+    return triangular(n)[1:] - 1
+
+
+def upper_slots(n: int, out: np.ndarray) -> None:
+    """Write the upper-packed slot of each row-major position into ``out``, a row at a time.
+
+    ``out`` holds N int64 entries.
+    """
     tri = triangular(n)
     start = 0
     for i in range(n - 1):
         stop = start + n - 1 - i
         np.add(tri[i + 1 : n], i, out=out[start:stop])  # row i: slots tri[j] + i, j > i
         start = stop
-    return out
 
 
 def row_major_index(slots: np.ndarray, n: int) -> np.ndarray:
@@ -225,11 +231,14 @@ class SymmetricMatrix:
         return float(self.values[pack_index(i, j, self.n)])
 
     def dense(self) -> np.ndarray:
-        """Materialize the full n x n array."""
-        out = np.zeros((self.n, self.n))
-        iu = pair_indices(self.n)
-        out[iu] = self.values
-        out[iu[1], iu[0]] = self.values
+        """Materialize the full n x n array, a row of the upper triangle at a time."""
+        n = self.n
+        out = np.zeros((n, n))
+        starts = (row_offsets(n) + np.arange(1, n + 1)).tolist()  # pair (i, i + 1)
+        for i in range(n - 1):
+            row = self.values[starts[i] : starts[i] + n - 1 - i]
+            out[i, i + 1 :] = row
+            out[i + 1 :, i] = row
         return out
 
     def __eq__(self, other: object) -> bool:

@@ -1,8 +1,10 @@
 """Allocation contracts of the layers: load, sample, rank, eigensolve.
 
 Each bound is a multiple of one packed array, 8N bytes with N = n(n-1)/2,
-measured with tracemalloc at n = 1000. The result a call returns counts
-toward its peak, and the caller's input does not.
+measured with tracemalloc at n = 1000; the rank transform's tighter bounds
+are also measured at n = 2000, where its temporaries of a fixed block size
+weigh less. The result a call returns counts toward its peak, and the
+caller's input does not.
 """
 
 import math
@@ -16,19 +18,21 @@ from rankspectral import (
     TiePolicy,
     leading_eigenpair,
     load_matrix,
+    moments,
     rank_transform,
     sample_homogeneous,
     sample_interpolated_rank,
     sample_planted_submatrix,
     sample_two_block,
     save_matrix,
+    whiten,
 )
 
 N_DIM = 1000
 ARRAY_BYTES = 8 * N_DIM * (N_DIM - 1) // 2
 
 
-def peak_arrays(fn, *args):
+def peak_arrays(fn, *args, n=N_DIM):
     """(result, peak traced allocation of the call in units of 8N bytes)."""
     tracemalloc.start()
     try:
@@ -37,7 +41,7 @@ def peak_arrays(fn, *args):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return result, peak / ARRAY_BYTES
+    return result, peak / (4 * n * (n - 1))
 
 
 @pytest.mark.parametrize(
@@ -68,6 +72,40 @@ def test_rank_transform_of_tied_scores_peak():
     matrix = SymmetricMatrix(N_DIM, scores.astype(np.float64))
     _, peak = peak_arrays(rank_transform, matrix, TiePolicy.random(8))
     assert peak <= 4.25
+
+
+def test_rank_transform_holds_one_buffer():
+    # Keys, rank order and ranks share one int64 buffer of n(n+1)/2 entries.
+    n = 2000
+    matrix = SymmetricMatrix(n, np.random.default_rng(5).normal(size=n * (n - 1) // 2))
+    _, peak = peak_arrays(rank_transform, matrix, n=n)
+    assert peak <= 1.3
+
+
+def test_rank_transform_of_tied_scores_holds_the_buffer_and_shuffle():
+    # The buffer, the int32 random positions and one batch of runs.
+    n = 2000
+    scores = np.random.default_rng(7).integers(0, 100, size=n * (n - 1) // 2)
+    matrix = SymmetricMatrix(n, scores.astype(np.float64))
+    _, peak = peak_arrays(rank_transform, matrix, TiePolicy.random(8), n=n)
+    assert peak <= 2.0
+
+
+def test_whiten_makes_one_array():
+    ranked = rank_transform(
+        SymmetricMatrix(N_DIM, np.random.default_rng(4).normal(size=ARRAY_BYTES // 8))
+    )
+    ranked.values  # derived from the BLAS buffer on first access, then cached
+    whitened, peak = peak_arrays(whiten, ranked)
+    assert peak <= 1.2
+    expected = (ranked.values - 0.5) / math.sqrt(moments(N_DIM).sigma_sq)
+    assert whitened.values.tobytes() == expected.tobytes()
+
+
+def test_dense_holds_only_its_result():
+    matrix = SymmetricMatrix(N_DIM, np.random.default_rng(3).normal(size=ARRAY_BYTES // 8))
+    _, peak = peak_arrays(matrix.dense)
+    assert peak <= 2.5
 
 
 def test_eigensolve_of_a_rank_matrix_packs_nothing():

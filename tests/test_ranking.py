@@ -283,6 +283,33 @@ class TestBlasLayout:
         r = RankMatrix(3, [0.75, 0.25, 0.5])
         assert np.array_equal(r.values, [0.75, 0.25, 0.5])
 
+    @pytest.mark.parametrize("n", [2, 3, 9, 60, 257])
+    def test_scatter_route_above_the_slot_rank_bits(self, n, monkeypatch):
+        # Where slot and rank position do not fit in one int64 key, the
+        # ranks are scattered into a second buffer: the same bytes, the
+        # same TieError text.
+        def blas_ranks(values, policy):
+            return rank_transform(SymmetricMatrix(n, values), policy).blas
+
+        slot_bits = (n * (n + 1) // 2 - 1).bit_length()
+        for label, values in blas_inputs(n, np.random.default_rng(n)).items():
+            for policy in (TiePolicy.error(), TiePolicy.random(n)):
+                expected = outcome(blas_ranks, values, policy)
+                monkeypatch.setattr(ranking, "_SLOT_RANK_BITS", slot_bits)
+                assert outcome(blas_ranks, values, policy) == expected, label
+                monkeypatch.undo()
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
+    def test_runs_scanned_in_small_blocks(self, block, monkeypatch):
+        # Runs that cross block ends, batches of several blocks' runs, and a
+        # tie count and first tied value carried over blocks.
+        monkeypatch.setattr(ranking, "_BLOCK", block)
+        for n in (2, 5, 60):
+            for label, values in blas_inputs(n, np.random.default_rng(n)).items():
+                for policy in (TiePolicy.error(), TiePolicy.random(n)):
+                    expected = outcome(reference_ranks, values, policy)
+                    assert outcome(kernel_ranks, values, policy) == expected, (n, label)
+
     def test_order_dtype_flips_at_two_to_the_31(self):
         assert ranking._order_dtype(2**31 - 1) is np.int32
         assert ranking._order_dtype(2**31) is np.int64

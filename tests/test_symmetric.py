@@ -89,10 +89,27 @@ class TestLayouts:
         for n in range(2, 301):
             rows, cols = np.triu_indices(n, k=1)
             slots = cols * (cols + 1) // 2 + rows
-            assert np.array_equal(symmetric.upper_slots(n), slots), n
+            out = np.empty(n * (n - 1) // 2, dtype=np.int64)
+            symmetric.upper_slots(n, out)
+            assert np.array_equal(out, slots), n
             for dtype in (np.int32, np.int64):
                 got = symmetric.row_major_index(slots.astype(dtype), n)
                 assert np.array_equal(got, np.arange(n * (n - 1) // 2)), (n, dtype)
+
+    def test_diagonal_slots(self):
+        for n in (2, 3, 7, 40):
+            assert symmetric.diagonal_slots(n).tolist() == [j * (j + 1) // 2 + j for j in range(n)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 64])
+    def test_dense_is_the_triu_indices_build(self, n):
+        rng = np.random.default_rng(n)
+        n_pairs = n * (n - 1) // 2
+        values = np.where(rng.random(n_pairs) < 0.2, -0.0, rng.normal(size=n_pairs))
+        rows, cols = np.triu_indices(n, k=1)
+        expected = np.zeros((n, n))
+        expected[rows, cols] = values
+        expected[cols, rows] = values
+        assert SymmetricMatrix(n, values).dense().tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [65535, 65536])
     def test_row_major_index_near_the_int32_limit(self, n):

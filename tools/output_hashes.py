@@ -10,7 +10,8 @@ and after. Covered outputs:
 - the CLI's ``test`` report on a seeded n=300 matrix in each text format,
   with LF and with CRLF line ends, on a file of tied integer scores with
   ``--ties random``, and the exit code and stderr record of an asymmetric
-  dense file. The files are written here with ``repr`` of each float, not
+  dense file and of the tied file and its scores plus one under the default
+  ``--ties error``. The files are written here with ``repr`` of each float, not
   with ``save_matrix``, so a change to the writer cannot change the input;
 - every ``reproduce`` target at ``--scale 0.05``.
 
@@ -207,6 +208,11 @@ def cli_test_runs(out: Path) -> list[tuple[str, list[str], Path]]:
         add(f"{format}-crlf", format, lines, "\r\n")
     ties = _text_lines("upper-triangle-text", scores)
     add("ties", "upper-triangle-text", ties, "\n", "--ties", "random", "--seed", "5")
+    # Under the default --ties error: the first tied value is 0, whose
+    # example takes the signed-zero route, and shifted by one it is 1.
+    add("ties-error", "upper-triangle-text", ties, "\n")
+    shifted = _text_lines("upper-triangle-text", [str(int(s) + 1) for s in scores])
+    add("ties-error-shifted", "upper-triangle-text", shifted, "\n")
     # Entry (n-1, 2) of the last row moved off its mirror (2, n-1).
     rows = [line.split(",") for line in _text_lines("dense-csv", tokens)]
     rows[-1][2] = repr(float(rows[-1][2]) + 1e-3)
