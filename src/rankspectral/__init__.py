@@ -6,6 +6,9 @@ eigenvector of the resulting normalized-rank matrix. The null distribution
 of every statistic here is the same for all continuous entry distributions.
 """
 
+import ctypes
+import sys
+
 from .symmetric import (
     AsymmetryError,
     FormatError,
@@ -80,6 +83,33 @@ from .reproduce import TARGETS, reproduce_target
 from .rng import derive_seed, make_generator
 
 __version__ = "0.1.0"
+
+# mallopt parameter numbers in <malloc.h>
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _fix_malloc_thresholds() -> None:
+    """Give every malloc block of 4 MiB or more its own mapping (glibc).
+
+    glibc raises its mmap threshold to the size of each mapped block freed,
+    up to 32 MiB, after which the N-entry arrays of a replicate come from
+    per-thread arenas that keep what is freed; how the worker threads'
+    arrays interleave then sets the peak RSS, which varies run to run. With
+    the threshold fixed, such arrays go back to the system when freed and the
+    peak is the live arrays. A fixed threshold also stops glibc from raising
+    the trim threshold with it, so that is set to twice the mmap threshold,
+    as glibc would: at its default of 128 KiB, the heap would hand back and
+    fault in again the pages of each block-sized temporary.
+    """
+    if sys.platform.startswith("linux"):
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        if mallopt is not None:
+            mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+            mallopt(_M_TRIM_THRESHOLD, 8 << 20)
+
+
+_fix_malloc_thresholds()
 
 __all__ = [
     "AsymmetryError",

@@ -21,6 +21,8 @@ import numpy as np
 from .rng import make_generator
 from .symmetric import SymmetricMatrix
 
+_BLOCK = 1 << 16  # entries per block of the in-place float conversion
+
 
 class DistributionParseError(ValueError):
     """Malformed distribution string; ``column`` is the 1-based offset."""
@@ -316,6 +318,16 @@ def sample_interpolated_rank(n: int, k: float, seed: int) -> SymmetricMatrix:
         raise ValueError(f"k must be a nonnegative integer or math.inf, got {k!r}")
     if kk > 10 * n_pairs:
         raise ValueError(f"k={kk} exceeds the 10*N guard ({10 * n_pairs}) for n={n}")
-    vals = np.add(rng.permutation(n_pairs + kk)[:n_pairs], 1.0)
+    # The first N draws become floats in their own slots, a block at a time,
+    # and the buffer is cut to N: the call peaks at the permutation, 8(N + k)
+    # bytes, instead of holding the N floats beside it.
+    perm = rng.permutation(n_pairs + kk)
+    vals = perm.view(np.float64)
+    for lo in range(0, n_pairs, _BLOCK):
+        hi = min(lo + _BLOCK, n_pairs)
+        vals[lo:hi] = perm[lo:hi] + 1.0
+    del vals
+    perm.resize(n_pairs, refcheck=False)
+    vals = perm.view(np.float64)
     vals /= n_pairs + kk + 1
     return SymmetricMatrix.adopt(n, vals)

@@ -4,11 +4,14 @@ Each bound is a multiple of one packed array, 8N bytes with N = n(n-1)/2,
 measured with tracemalloc at n = 1000; the rank transform's tighter bounds
 are also measured at n = 2000, where its temporaries of a fixed block size
 weigh less. The result a call returns counts toward its peak, and the
-caller's input does not.
+caller's input does not. One test reads the process's resident set
+instead: that an array freed goes back to the system.
 """
 
 import math
+import platform
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +62,12 @@ def peak_arrays(fn, *args, n=N_DIM):
 def test_sampler_keeps_one_array(sample):
     _, peak = peak_arrays(sample)
     assert peak <= 1.2
+
+
+def test_interpolated_sampler_holds_only_the_permutation():
+    # k = N: the permutation of 2N integers, with the N floats written into it.
+    _, peak = peak_arrays(sample_interpolated_rank, N_DIM, ARRAY_BYTES // 8, 6)
+    assert peak <= 2.3
 
 
 def test_rank_transform_peak():
@@ -113,6 +122,23 @@ def test_eigensolve_of_a_rank_matrix_packs_nothing():
     ranked = rank_transform(matrix)
     _, peak = peak_arrays(leading_eigenpair, ranked)
     assert peak <= 0.05
+
+
+def rss_mb():
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("VmRSS:"):
+            return int(line.split()[1]) / 1024
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the mmap threshold is glibc's")
+def test_freed_arrays_go_back_to_the_system():
+    # After the first 16 MB block is freed, glibc's own sliding threshold
+    # would put the second in a heap that keeps its pages after the free.
+    for _ in range(2):
+        values = np.ones(2_000_000)
+        held = rss_mb()
+        del values
+        assert held - rss_mb() > 12
 
 
 @pytest.fixture(scope="module")

@@ -310,7 +310,8 @@ class TestRowBuiltMasks:
 
 
 class TestSampleInterpolatedRank:
-    @pytest.mark.parametrize("n", [2, 3, 10, 45])
+    # n = 400 spans several blocks of the in-place float conversion.
+    @pytest.mark.parametrize("n", [2, 3, 10, 45, 400])
     def test_matches_integer_division_formulation(self, n):
         n_pairs = n * (n - 1) // 2
         for k in sorted({0, 1, n, int(n**1.5), n_pairs, 10 * n_pairs}):
