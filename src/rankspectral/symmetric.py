@@ -76,26 +76,45 @@ def triangular(n: int) -> np.ndarray:
     return np.cumsum(np.arange(n + 1))
 
 
-def _columns(n: int) -> Iterator[tuple[slice, np.ndarray]]:
-    """Column j = 1..n-1 as (its upper-packed slots, the row-major positions of its entries)."""
-    offsets, tri = row_offsets(n), triangular(n)
-    for j in range(1, n):
-        yield slice(tri[j], tri[j] + j), offsets[:j] + j
+# Rows per strip of to_upper_packed: an n x _STRIP strip of float64 stays
+# in cache while its columns are written out.
+_STRIP = 32
 
 
 def to_upper_packed(values: np.ndarray, n: int) -> np.ndarray:
-    """The upper-packed buffer of row-major ``values``, gathered a column at a time."""
+    """The upper-packed buffer of row-major ``values``, written a strip of rows at a time.
+
+    Rows i0 .. i0 + _STRIP - 1 are copied into a scratch strip whose row j
+    holds their entries in column j. Each column j past the strip takes
+    those entries as one contiguous run of its slots, tri[j] + i0 onwards,
+    so one fancy assignment writes them all; the columns inside the strip
+    take their shorter runs one slice at a time. Data is only moved, and
+    the diagonal slots stay +0.0.
+    """
     ap = np.zeros(n * (n + 1) // 2)
-    for column, rows in _columns(n):
-        np.take(values, rows, out=ap[column])
+    tri = triangular(n)
+    # Python ints for the slices: numpy scalars slow each one down.
+    offsets, starts = row_offsets(n).tolist(), tri.tolist()
+    strip = np.empty((n, _STRIP))  # strip[j, r]: entry (i0 + r, j)
+    rows = np.arange(_STRIP)
+    for i0 in range(0, n - 1, _STRIP):
+        stop = min(i0 + _STRIP, n - 1)  # row n - 1 has no entry right of the diagonal
+        for i in range(i0, stop):
+            strip[i + 1 :, i - i0] = values[offsets[i] + i + 1 : offsets[i] + n]
+        for j in range(i0 + 1, min(i0 + _STRIP, n)):
+            ap[starts[j] + i0 : starts[j] + j] = strip[j, : j - i0]
+        full = i0 + _STRIP  # columns from here on hold all the strip's rows
+        if full < n:
+            ap[tri[full:n, None] + (rows + i0)] = strip[full:]
     return ap
 
 
 def from_upper_packed(ap: np.ndarray, n: int) -> np.ndarray:
     """The row-major values of an upper-packed buffer: :func:`to_upper_packed` undone."""
     values = np.empty(n * (n - 1) // 2)
-    for column, rows in _columns(n):
-        values[rows] = ap[column]
+    offsets, tri = row_offsets(n), triangular(n)
+    for j in range(1, n):
+        values[offsets[:j] + j] = ap[tri[j] : tri[j] + j]
     return values
 
 
@@ -199,9 +218,10 @@ class SymmetricMatrix:
         diagonal is discarded.
 
         The rows are folded into the packed values one at a time (see
-        ``_merge_rows``), so no n x n temporary is made: the call holds the
-        packed values and the copy the constructor makes of them. Only an
-        asymmetric array is scanned whole again, to name its worst pair.
+        ``_merge_rows``), so no n x n temporary is made, and a
+        :class:`SymmetricMatrix` adopts those values without a copy; a
+        subclass runs its own constructor on them. Only an asymmetric array
+        is scanned whole again, to name its worst pair.
         """
         arr = np.asarray(array, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -218,6 +238,8 @@ class SymmetricMatrix:
                 f"entries ({i},{j}) and ({j},{i}) differ by {gap[i, j]:.3e}, "
                 f"beyond tolerance {bound[i, j]:.3e}"
             )
+        if cls is SymmetricMatrix:
+            return SymmetricMatrix.adopt(n, values)
         return cls(n, values)
 
     def entry(self, i: int, j: int) -> float:
@@ -521,18 +543,25 @@ def _fast_edge_list(fh: IO[bytes]) -> SymmetricMatrix:
     lines = sum(
         block.count(b"\n") + (not block.endswith(b"\n")) for block in _blocks(fh, _PLAIN_BYTES)
     )
-    i = np.empty(lines, dtype=np.int64)
-    j = np.empty(lines, dtype=np.int64)
+    # Indices are int32 while there are fewer than 2^31 lines: a larger
+    # index names more pairs than there are lines, and the line parser
+    # words that error.
+    index = np.dtype(np.int32 if lines < 2**31 else np.int64)
+    i = np.empty(lines, dtype=index)
+    j = np.empty(lines, dtype=index)
     w = np.empty(lines)
     filled = 0
     for block in _blocks(fh, _PLAIN_BYTES):
         rows = np.loadtxt(io.BytesIO(block), dtype=_EDGE_DTYPE, comments=None, ndmin=1)
+        ij = (rows["i"], rows["j"])
+        if min(a.min() for a in ij) < 0 or max(a.max() for a in ij) > np.iinfo(index).max:
+            raise FormatError("a negative index or one beyond the line count")
         stop = filled + rows.shape[0]
         i[filled:stop], j[filled:stop], w[filled:stop] = rows["i"], rows["j"], rows["w"]
         filled = stop
     i, j, w = i[:filled], j[:filled], w[:filled]
-    if not filled or min(i.min(), j.min()) < 0 or not np.all(np.isfinite(w)):
-        raise FormatError("no lines, a negative index or a non-finite weight")
+    if not filled or not np.all(np.isfinite(w)):
+        raise FormatError("no lines or a non-finite weight")
     n = int(max(i.max(), j.max())) + 1
     n_pairs = n * (n - 1) // 2
     # Each pair needs a line of its own. Checked in Python ints before any

@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from rankspectral import SymmetricMatrix, pair_indices
+from rankspectral.symmetric import row_offsets, triangular
 
 
 def unpack_index(k: int, n: int) -> tuple[int, int]:
@@ -20,6 +21,19 @@ def unpack_index(k: int, n: int) -> tuple[int, int]:
         i += 1
     j = k - i * (2 * n - i - 1) // 2 + i + 1
     return i, j
+
+
+def column_pack(values: np.ndarray, n: int) -> np.ndarray:
+    """Upper-packed buffer of row-major ``values``, gathered one column at a time.
+
+    Column j's slots tri[j] .. tri[j] + j - 1 take entries (0, j) ..
+    (j - 1, j), at row-major positions offsets[i] + j; the diagonal is zero.
+    """
+    ap = np.zeros(n * (n + 1) // 2)
+    offsets, tri = row_offsets(n), triangular(n)
+    for j in range(1, n):
+        ap[tri[j] : tri[j] + j] = values[offsets[:j] + j]
+    return ap
 
 
 def expectation_matrix(n: int) -> SymmetricMatrix:

@@ -18,15 +18,17 @@ from rankspectral import (
     AsymmetryError,
     FormatError,
     MatrixSource,
+    RankMatrix,
     SymmetricMatrix,
     load_matrix,
     pack_index,
     pair_indices,
+    rank_transform,
     save_matrix,
 )
 
 from conftest import random_symmetric
-from oracles import expectation_matrix, permute_nodes, unpack_index
+from oracles import column_pack, expectation_matrix, permute_nodes, unpack_index
 
 
 class TestPackIndex:
@@ -110,6 +112,35 @@ class TestLayouts:
         expected[rows, cols] = values
         expected[cols, rows] = values
         assert SymmetricMatrix(n, values).dense().tobytes() == expected.tobytes()
+
+    @staticmethod
+    def check_pack(values, n):
+        ap = symmetric.to_upper_packed(values, n)
+        assert ap.tobytes() == column_pack(values, n).tobytes(), n
+        diagonal = ap[symmetric.diagonal_slots(n)]
+        assert diagonal.tobytes() == np.zeros(n).tobytes(), n  # +0.0, not -0.0
+        assert symmetric.from_upper_packed(ap, n).tobytes() == values.tobytes(), n
+
+    def test_strip_pack_is_the_column_walk(self):
+        # Every strip count and remainder up to three strips and a bit,
+        # then sizes that leave a partial last strip.
+        strip = symmetric._STRIP
+        rng = np.random.default_rng(11)
+        for n in [*range(2, 3 * strip + 3), 257, 1000, 1001]:
+            n_pairs = n * (n - 1) // 2
+            values = np.where(rng.random(n_pairs) < 0.1, -0.0, rng.normal(size=n_pairs))
+            self.check_pack(values, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 300), st.integers(0, 2**32 - 1))
+    def test_strip_pack_property(self, n, seed):
+        rng = np.random.default_rng(seed)
+        n_pairs = n * (n - 1) // 2
+        bits = rng.integers(0, 2**64, size=n_pairs, dtype=np.uint64)
+        # Any finite bit pattern, signed zeros and subnormals included.
+        values = bits.view(np.float64)
+        values = np.where(np.isfinite(values), values, -0.0)
+        self.check_pack(values, n)
 
     @pytest.mark.parametrize("n", [65535, 65536])
     def test_row_major_index_near_the_int32_limit(self, n):
@@ -196,6 +227,20 @@ class TestSymmetricMatrix:
         arr = np.array([[7.0, 5.0, 1.0], [5.0, -2.0, 3.0], [1.0, 3.0, 4.0]])
         m = SymmetricMatrix.from_dense(arr)
         assert np.array_equal(m.values, [5.0, 1.0, 3.0])
+
+    def test_from_dense_adopts_its_values(self):
+        m = SymmetricMatrix.from_dense(np.array([[0.0, 5.0], [5.0, 0.0]]))
+        assert type(m) is SymmetricMatrix and not m.values.flags.writeable
+        with pytest.raises(ValueError, match="finite"):
+            SymmetricMatrix.from_dense(np.array([[0.0, np.inf], [np.inf, 0.0]]))
+
+    def test_from_dense_of_a_rank_matrix_runs_its_checks(self):
+        ranked = rank_transform(random_symmetric(5, 3))
+        back = RankMatrix.from_dense(ranked.dense())
+        assert type(back) is RankMatrix
+        assert back.blas.tobytes() == ranked.blas.tobytes()
+        with pytest.raises(ValueError, match="permutation"):
+            RankMatrix.from_dense(random_symmetric(5, 3).dense())
 
     def test_from_dense_rejects_asymmetry(self):
         arr = np.array([[0.0, 5.0, 1.0], [5.0, 0.0, 3.0], [1.0 + 1e-6, 3.0, 0.0]])
@@ -504,6 +549,15 @@ class TestEdgeListParsing:
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             self.load("0 4000000000 1.0\n")
 
+    def test_index_beyond_int32_in_a_file(self, tmp_path):
+        # The vectorized pass keeps indices as int32, so 2^31 would wrap; it
+        # declines instead, and the line parser words the error.
+        path = tmp_path / "edges.txt"
+        path.write_text("0 1 1.0\n0 2147483648 1.0\n")
+        message = "expected 2305843010287435776 for n=2147483649"
+        with pytest.raises(FormatError, match=f"^incomplete edge list: 2 distinct pairs, {message}$"):
+            load_matrix(path, format="weighted-edge-list")
+
     def test_self_loops_only(self):
         with pytest.raises(FormatError, match="two nodes"):
             self.load("0 0 7.0\n")
@@ -555,6 +609,12 @@ FILE_CASES = {
         "0 1\n",
         "0 -1 2.0\n",
         "0 4000000000 1.0\n",
+        "0 2147483647 1.0\n",
+        "0 2147483648 1.0\n",
+        "0 1 1.0\n2147483648 0 1.0\n",
+        "0 4294967297 1.0\n",
+        "0 -2147483649 1.0\n",
+        "0 -4294967295 1.0\n",
         "0 9223372036854775807 1.0\n",
         "0 99999999999999999999 1.0\n",
         "0 0 7.0\n",
