@@ -137,7 +137,7 @@ class TestLayouts:
         rng = np.random.default_rng(seed)
         n_pairs = n * (n - 1) // 2
         bits = rng.integers(0, 2**64, size=n_pairs, dtype=np.uint64)
-        # Any finite bit pattern, signed zeros and subnormals included.
+        # Arbitrary finite bit patterns; the non-finite ones become -0.0.
         values = bits.view(np.float64)
         values = np.where(np.isfinite(values), values, -0.0)
         self.check_pack(values, n)
