@@ -161,7 +161,7 @@ def matrix_files(tmp_path_factory):
 
 @pytest.mark.parametrize(
     "format, bound",
-    [("dense-csv", 2.5), ("upper-triangle-text", 3.25), ("weighted-edge-list", 3.25)],
+    [("dense-csv", 2.5), ("upper-triangle-text", 3.25), ("weighted-edge-list", 4.5)],
 )
 def test_load_matrix_peak(matrix_files, format, bound):
     # The file is read in blocks into the packed values: no stage holds the
@@ -170,6 +170,16 @@ def test_load_matrix_peak(matrix_files, format, bound):
     matrix, peak = peak_arrays(load_matrix, paths[format], format)
     assert matrix.values.tobytes() == values.tobytes()
     assert peak <= bound
+
+
+def test_edge_list_load_keeps_int32_indices(matrix_files):
+    # Node indices are held as int32 while the file has fewer than 2^31
+    # lines, so the edge list peaks about one packed array below int64.
+    values, paths = matrix_files
+    format = "weighted-edge-list"
+    matrix, peak = peak_arrays(load_matrix, paths[format], format)
+    assert matrix.values.tobytes() == values.tobytes()
+    assert peak <= 3.25
 
 
 def test_from_dense_peak(matrix_files):
