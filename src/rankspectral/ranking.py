@@ -23,13 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .rng import make_generator
-from .symmetric import (
-    SymmetricMatrix,
-    diagonal_slots,
-    from_upper_packed,
-    row_major_index,
-    upper_slots,
-)
+from .symmetric import SymmetricMatrix, diagonal_slots, lower_rows, lower_slots, row_major_index
 
 
 class TieError(ValueError):
@@ -70,11 +64,12 @@ class RankMatrix(SymmetricMatrix):
     The packed values must be exactly a permutation of k/(N+1) for
     k = 1..N; the constructor verifies this.
 
-    Every rank matrix holds ``blas``, its ranks in the upper-packed layout
+    Every rank matrix holds ``blas``, its ranks in the lower-packed layout
     (see :mod:`rankspectral.symmetric`), read-only, and hands it to the
     eigensolver with no pack step. A matrix from :func:`rank_transform`
-    holds only ``blas``; its row-major ``values`` are derived on first
-    access, then cached and read-only. The constructor packs once.
+    holds only ``blas``; its row-major ``values``, the buffer less its n
+    diagonal slots, are copied out row by row on first access, then cached
+    and read-only. The constructor packs once.
     """
 
     blas: np.ndarray
@@ -84,7 +79,7 @@ class RankMatrix(SymmetricMatrix):
         expected = np.arange(1, self.n_pairs + 1) / (self.n_pairs + 1)
         if not np.array_equal(np.sort(self.values), expected):
             raise ValueError("values are not a permutation of k/(N+1), k=1..N")
-        self.blas = super().upper_packed()
+        self.blas = super().lower_packed()
         self.blas.flags.writeable = False
 
     @classmethod
@@ -96,7 +91,7 @@ class RankMatrix(SymmetricMatrix):
         result.blas = blas
         return result
 
-    def upper_packed(self) -> np.ndarray:
+    def lower_packed(self) -> np.ndarray:
         """``blas`` itself, read-only: no copy and no pack step."""
         return self.blas
 
@@ -104,7 +99,9 @@ class RankMatrix(SymmetricMatrix):
     def values(self) -> np.ndarray:
         # Only reached for a matrix from rank_transform: the constructor
         # stores ``values`` on the instance, which shadows this property.
-        values = from_upper_packed(self.blas, self.n)
+        values = np.empty(self.n_pairs)
+        for row, slots in lower_rows(self.n):
+            values[row] = self.blas[slots]
         values.flags.writeable = False
         return values
 
@@ -118,15 +115,10 @@ _BLOCK = 1 << 16
 
 _MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
 
-# Largest G * N for which _order_runs' int64 key, value group * N + random
-# position, cannot overflow (G distinct tied values in one batch). Beyond it
-# the tied runs are ordered by two argsorts.
-_COMPOSITE_KEY_LIMIT = 1 << 63
-
-# Bits of the second sort's int64 key, slot << rank bits | rank: slot and
-# rank fit together for every n up to 65,536. Above it the ranks are
-# scattered into a second buffer instead.
-_SLOT_RANK_BITS = 63
+# The largest n whose slot and rank fit together in the second sort's int64
+# key, slot << rank bits | rank (32 + 31 bits), and whose N positions fit in
+# int32. One N-array is 17 GB here.
+_MAX_N = 1 << 16
 
 
 def rank_transform(matrix: SymmetricMatrix, policy: TiePolicy | None = None) -> RankMatrix:
@@ -143,7 +135,7 @@ def rank_transform(matrix: SymmetricMatrix, policy: TiePolicy | None = None) -> 
     -------
     RankMatrix
         Matrix with entry rank/(N+1) in place of each data entry, held in
-        the BLAS layout :class:`RankMatrix` describes. Strictly monotone
+        the lower-packed layout :class:`RankMatrix` describes. Strictly monotone
         transforms of the data give bit-identical output, and relabeling
         nodes commutes with the transform.
 
@@ -152,6 +144,9 @@ def rank_transform(matrix: SymmetricMatrix, policy: TiePolicy | None = None) -> 
     TieError
         Tied entries under the ``error`` policy. The message reports how
         many values are involved and one offending value.
+    ValueError
+        n above 65,536, before anything is allocated. The message gives
+        the bytes of the buffer the call would need.
 
     Notes
     -----
@@ -161,53 +156,50 @@ def rank_transform(matrix: SymmetricMatrix, policy: TiePolicy | None = None) -> 
     which costs several times more. Each value maps to a signed-magnitude
     key that orders exactly as the values do, with -0.0 and 0.0 equal; the
     low ceil(log2(n(n+1)/2)) bits of the key are then replaced by the
-    entry's slot j(j+1)/2 + i in the BLAS buffer. After the sort, keys that
-    differ in their remaining high bits are in exact value order. Entries
-    whose high bits collide (some 10^4 of the 8M at n = 4000, and every
-    exact tie) form runs that are re-sorted exactly by value, so the keys
-    end in the order a full sort gives. The runs are found and re-sorted a
-    block at a time, a block extended to the end of a run it cuts. Ties
-    exist only inside those runs: the ``error`` policy counts them over
-    all blocks and reports the first, and the ``random`` policy orders the
-    runs by value, then by ``rng.permutation(N)`` of the row-major
-    positions (drawn at the first tie), as a ``lexsort`` over all N would.
-    It does so with one argsort of int64 keys, value group * N + random
-    position.
+    entry's slot in the lower-packed buffer, its row-major position plus
+    its row plus one. After the sort, keys that differ in their remaining
+    high bits are in exact value order. Entries whose high bits collide
+    (some 10^4 of the 8M at n = 4000, and every exact tie) form runs that
+    are re-sorted exactly by value, so the keys end in the order a full
+    sort gives. The runs are found and re-sorted a block at a time, a
+    block extended to the end of a run it cuts. Ties exist only inside
+    those runs: the ``error`` policy counts them over all blocks and
+    reports the first, and the ``random`` policy orders the runs by value,
+    then by ``rng.permutation(N)`` of the row-major positions (drawn at the
+    first tie), as a ``lexsort`` over all N would. It does so with one
+    argsort of int64 keys, value group * N + random position.
 
     Each key is then rewritten as slot << b | rank, b the bit length of N,
     and the n diagonal slots join the keys with rank 0. A second sort puts
     every key at its own slot, and the low bits, written over the keys as
     rank/(N+1), are the returned ranks (0.0 on the diagonal). Slot and rank
-    fit together in 63 bits for every n up to 65,536; above that, the ranks
-    are scattered from the sorted keys into a second buffer.
+    fit together in 63 bits for every n up to 65,536, the largest n a call
+    accepts.
 
     Memory: on continuous data a call holds the buffer and temporaries of
     block size (1.10 x 8N at n = 2000), so a replicate holds about 16N
     bytes counting the caller's sample. When every entry is tied it also
-    holds the random positions, as int32 (int64 once N exceeds 2^31 - 1),
-    and one batch of runs (1.84 x 8N at n = 2000).
+    holds the random positions, as int32, and one batch of runs
+    (1.84 x 8N at n = 2000).
     """
+    n = matrix.n
+    n_slots = n * (n + 1) // 2
+    if n > _MAX_N:
+        raise ValueError(
+            f"rank_transform supports n <= {_MAX_N:,}; n={n:,} would need "
+            f"{8 * n_slots:,} bytes for its rank buffer alone"
+        )
     if policy is None:
         policy = TiePolicy.error()
-    n = matrix.n
     a = matrix.values
     n_pairs = a.shape[0]
-    n_slots = n * (n + 1) // 2
     bits = (n_slots - 1).bit_length()
     rank_bits = n_pairs.bit_length()
-    in_place = bits + rank_bits <= _SLOT_RANK_BITS
-    buffer = np.empty(n_slots if in_place else n_pairs, dtype=np.int64)
+    buffer = np.empty(n_slots, dtype=np.int64)
     keys = buffer[:n_pairs]
     _sort_keys(a, n, bits, keys)
     _sort_runs(a, n, keys, bits, policy)
     low = (1 << bits) - 1
-    if not in_place:
-        ranks = np.zeros(n_slots)
-        for lo in range(0, n_pairs, _BLOCK):
-            block = keys[lo : lo + _BLOCK]
-            block &= low
-            ranks[block] = np.arange(lo + 1, lo + block.shape[0] + 1) / (n_pairs + 1)
-        return RankMatrix._from_blas(n, ranks)
     for lo in range(0, n_pairs, _BLOCK):
         block = keys[lo : lo + _BLOCK]
         block &= low
@@ -225,21 +217,16 @@ def rank_transform(matrix: SymmetricMatrix, policy: TiePolicy | None = None) -> 
     return RankMatrix._from_blas(n, ranks)
 
 
-def _order_dtype(size: int) -> type:
-    """The narrowest integer type that holds every integer up to ``size``."""
-    return np.int32 if size <= np.iinfo(np.int32).max else np.int64
-
-
 def _sort_keys(a: np.ndarray, n: int, bits: int, keys: np.ndarray) -> None:
     """Fill ``keys`` with sorted int64 keys: each value's order key, low ``bits`` bits its slot.
 
-    The slots are written by :func:`rankspectral.symmetric.upper_slots`,
+    The slots are written by :func:`rankspectral.symmetric.lower_slots`,
     then the high bits are or-ed in per block. The key of a float64 is its
     magnitude bits, negated for a negative sign; this orders keys exactly as
     the values and maps -0.0 to 0 as well.
     """
     raw = a.view(np.int64)
-    upper_slots(n, keys)
+    lower_slots(n, keys)
     high = np.empty(min(_BLOCK, a.shape[0]), dtype=np.int64)
     for lo in range(0, a.shape[0], _BLOCK):
         hi = min(lo + _BLOCK, a.shape[0])
@@ -358,17 +345,12 @@ def _order_runs(a: np.ndarray, index: np.ndarray, ties: _Ties) -> np.ndarray:
     # the orderings of each tied group. This is np.lexsort((shuffle, vals)).
     n_pairs = ties.n_pairs
     if ties.shuffle is None:
-        ties.shuffle = _shuffled_positions(n_pairs, _order_dtype(n_pairs), ties.policy.seed)
+        ties.shuffle = _shuffled_positions(n_pairs, ties.policy.seed)
     np.logical_not(tied, out=tied)
     distinct = np.concatenate([ordered[:1], ordered[1:][tied]])  # -0.0 == 0.0: one group
     del ordered, tied
-    if distinct.shape[0] * n_pairs > _COMPOSITE_KEY_LIMIT:
-        # Two passes: order by the distinct random positions, then stably
-        # by value.
-        by_shuffle = np.argsort(ties.shuffle[index])
-        vals = vals[by_shuffle]
-        return by_shuffle[np.argsort(vals, kind="stable")]
-    # One sort of distinct int64 keys: value group * N + random position.
+    # One sort of distinct int64 keys: value group * N + random position,
+    # below N^2 < 2^62 for every n a call accepts.
     key = np.searchsorted(distinct, vals)
     del vals
     key *= n_pairs
@@ -376,9 +358,9 @@ def _order_runs(a: np.ndarray, index: np.ndarray, ties: _Ties) -> np.ndarray:
     return np.argsort(key)
 
 
-def _shuffled_positions(n_pairs: int, dtype: type, seed: int | None) -> np.ndarray:
-    """``make_generator(seed).permutation(n_pairs)``, drawn straight into ``dtype``."""
-    shuffle = np.arange(n_pairs, dtype=dtype)
+def _shuffled_positions(n_pairs: int, seed: int | None) -> np.ndarray:
+    """``make_generator(seed).permutation(n_pairs)``, drawn straight into int32."""
+    shuffle = np.arange(n_pairs, dtype=np.int32)
     make_generator(seed).shuffle(shuffle)
     return shuffle
 

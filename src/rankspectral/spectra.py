@@ -78,9 +78,10 @@ def leading_eigenpair(
     iteration restarts once from a fixed-seed random vector; spiked matrices
     have their dominant eigenvalue of order n/2, far above that floor.
 
-    ``dspmv`` reads the matrix's :meth:`~SymmetricMatrix.upper_packed`
-    buffer: a rank matrix hands over the buffer it holds, and any other
-    matrix packs a new one of n(n+1)/2 entries.
+    ``dspmv`` (``lower=1``) reads the matrix's
+    :meth:`~SymmetricMatrix.lower_packed` buffer: a rank matrix hands over
+    the buffer it holds, and any other matrix copies its n row slices into
+    a new one of n(n+1)/2 entries.
 
     Raises
     ------
@@ -99,14 +100,14 @@ def leading_eigenpair(
         if norm == 0.0:
             raise ValueError("start vector must be nonzero")
         v /= norm
-    ap = matrix.upper_packed()
+    ap = matrix.lower_packed()
     # ||M||_F^2 is twice the sum of squares of the off-diagonal buffer entries.
     resid_floor = math.sqrt(2.0 * float(ap @ ap)) / math.sqrt(n)
     lam_prev = math.inf
     streak = 0
     restarted = False
     for iteration in range(1, max_iter + 1):
-        w = dspmv(n, 1.0, ap, v)
+        w = dspmv(n, 1.0, ap, v, lower=1)
         lam = float(v @ w)
         residual = float(np.linalg.norm(w - lam * v))
         streak = streak + 1 if abs(lam - lam_prev) <= tol * abs(lam) else 0

@@ -1,15 +1,18 @@
-"""Hollow symmetric matrices in packed storage, and the map between two layouts.
+"""Hollow symmetric matrices in packed storage, and the layout the eigensolver reads.
 
 An n x n symmetric matrix with zero diagonal is stored as the vector of its
 N = n(n-1)/2 strict upper-triangle entries in lexicographic (row-major) pair
 order, the same order as ``np.triu_indices(n, 1)``: entry (i, j), i < j, at
-``row_offsets(n)[i] + j``. The eigensolver reads the upper-packed layout of
-BLAS ``dspmv`` instead: n(n+1)/2 slots, column by column, entry (i, j),
-i <= j, at ``triangular(n)[j] + i``, zero diagonal. (The row-major values
-are the lower-packed layout less its diagonal, but ``dspmv`` sums that
-layout in another order, which changes the last bits of results.) This
-module owns the map between the two; no other module computes a position
-in either. Dense form is materialized only where LAPACK needs it.
+``row_offsets(n)[i] + j``. The eigensolver reads the lower-packed layout of
+BLAS ``dspmv`` (``lower=1``): n(n+1)/2 slots, where row i is its diagonal
+zero at slot ``diagonal_slots(n)[i]`` = i n - i(i-1)/2 followed by row i's
+row-major slice, so entry (i, j), i < j, sits at its row-major position plus
+i + 1. ``dspmv`` sums the upper-packed layout (``lower=0``) in another
+order, so an eigenpair computed from that layout can differ from this
+one's in its last bits: the leading eigenvalue by a few ulp (at most 3 ulp
+in measurements up to n = 2000). This module owns the map between the row-major values and the
+lower-packed layout; no other module computes a position in either. Dense
+form is materialized only where LAPACK needs it.
 """
 
 from __future__ import annotations
@@ -71,89 +74,42 @@ def row_offsets(n: int) -> np.ndarray:
     return i * (2 * n - i - 1) // 2 - i - 1
 
 
-def triangular(n: int) -> np.ndarray:
-    """tri[j] = j(j+1)/2, j = 0..n: the upper-packed slot of entry (0, j)."""
-    return np.cumsum(np.arange(n + 1))
-
-
-# Rows per strip of to_upper_packed: an n x _STRIP strip of float64 stays
-# in cache while its columns are written out.
-_STRIP = 32
-
-
-def to_upper_packed(values: np.ndarray, n: int) -> np.ndarray:
-    """The upper-packed buffer of row-major ``values``, written a strip of rows at a time.
-
-    Rows i0 .. i0 + _STRIP - 1 are copied into a scratch strip whose row j
-    holds their entries in column j. Each column j past the strip takes
-    those entries as one contiguous run of its slots, tri[j] + i0 onwards,
-    so one fancy assignment writes them all; the columns inside the strip
-    take their shorter runs one slice at a time. Data is only moved, and
-    the diagonal slots stay +0.0.
-    """
-    ap = np.zeros(n * (n + 1) // 2)
-    tri = triangular(n)
-    # Python ints for the slices: numpy scalars slow each one down.
-    offsets, starts = row_offsets(n).tolist(), tri.tolist()
-    strip = np.empty((n, _STRIP))  # strip[j, r]: entry (i0 + r, j)
-    rows = np.arange(_STRIP)
-    for i0 in range(0, n - 1, _STRIP):
-        stop = min(i0 + _STRIP, n - 1)  # row n - 1 has no entry right of the diagonal
-        for i in range(i0, stop):
-            strip[i + 1 :, i - i0] = values[offsets[i] + i + 1 : offsets[i] + n]
-        for j in range(i0 + 1, min(i0 + _STRIP, n)):
-            ap[starts[j] + i0 : starts[j] + j] = strip[j, : j - i0]
-        full = i0 + _STRIP  # columns from here on hold all the strip's rows
-        if full < n:
-            ap[tri[full:n, None] + (rows + i0)] = strip[full:]
-    return ap
-
-
-def from_upper_packed(ap: np.ndarray, n: int) -> np.ndarray:
-    """The row-major values of an upper-packed buffer: :func:`to_upper_packed` undone."""
-    values = np.empty(n * (n - 1) // 2)
-    offsets, tri = row_offsets(n), triangular(n)
-    for j in range(1, n):
-        values[offsets[:j] + j] = ap[tri[j] : tri[j] + j]
-    return values
-
-
 def diagonal_slots(n: int) -> np.ndarray:
-    """slot[j] = j(j+1)/2 + j, j = 0..n-1: the upper-packed slot of diagonal entry (j, j)."""
-    return triangular(n)[1:] - 1
+    """slot[i] = i n - i(i-1)/2, i = 0..n-1: the lower-packed slot of diagonal entry (i, i).
 
-
-def upper_slots(n: int, out: np.ndarray) -> None:
-    """Write the upper-packed slot of each row-major position into ``out``, a row at a time.
-
-    ``out`` holds N int64 entries.
+    Each is the start of row i in the lower-packed layout.
     """
-    tri = triangular(n)
-    start = 0
-    for i in range(n - 1):
-        stop = start + n - 1 - i
-        np.add(tri[i + 1 : n], i, out=out[start:stop])  # row i: slots tri[j] + i, j > i
-        start = stop
+    i = np.arange(n)
+    return i * n - i * (i - 1) // 2
+
+
+def lower_rows(n: int) -> Iterator[tuple[slice, slice]]:
+    """(row-major, lower-packed) slices of row i's entries right of the diagonal, i = 0..n-1."""
+    for i, start in enumerate(diagonal_slots(n).tolist()):
+        yield slice(start - i, start + n - 2 * i - 1), slice(start + 1, start + n - i)
+
+
+def lower_slots(n: int, out: np.ndarray) -> None:
+    """Write the lower-packed slot of each row-major position into ``out``, a row at a time.
+
+    ``out`` holds N int64 entries; row i's slots are one contiguous range.
+    """
+    for values, slots in lower_rows(n):
+        out[values] = np.arange(slots.start, slots.stop)
 
 
 def row_major_index(slots: np.ndarray, n: int) -> np.ndarray:
-    """Row-major position of each off-diagonal upper-packed slot j(j+1)/2 + i.
+    """Row-major position of each off-diagonal lower-packed slot: the slot less i + 1 in row i.
 
-    The column j comes from a float square-root estimate, corrected by one
-    step each way against the exact table tri; then the position is
-    row_offsets[i] + j. Done in blocks, with no int64 division, and returned
-    in the dtype of ``slots``.
+    The row i comes from a search of the row starts, done in blocks, and
+    the result is returned in the dtype of ``slots``.
     """
-    tri = triangular(n)
-    offsets = row_offsets(n)
+    starts = diagonal_slots(n)
     out = np.empty(slots.shape[0], dtype=slots.dtype)
     for lo in range(0, slots.shape[0], _KEY_BLOCK):
-        slot = slots[lo : lo + _KEY_BLOCK].astype(np.int64)
-        j = ((np.sqrt(8.0 * slot + 1.0) - 1.0) * 0.5).astype(np.int64)
-        np.minimum(j, n - 1, out=j)
-        j -= tri[j] > slot
-        j += tri[j + 1] <= slot
-        out[lo : lo + _KEY_BLOCK] = offsets[slot - tri[j]] + j
+        slot = slots[lo : lo + _KEY_BLOCK]
+        # The number of row starts at or before a slot of row i is i + 1.
+        out[lo : lo + _KEY_BLOCK] = slot - np.searchsorted(starts, slot, side="right")
     return out
 
 
@@ -200,9 +156,15 @@ class SymmetricMatrix:
         matrix.values = _checked_values(n, values)
         return matrix
 
-    def upper_packed(self) -> np.ndarray:
-        """A new buffer of the entries in the upper-packed layout ``dspmv`` reads."""
-        return to_upper_packed(self.values, self.n)
+    def lower_packed(self) -> np.ndarray:
+        """A new buffer of the entries in the lower-packed layout ``dspmv`` reads.
+
+        Each row is a zero, then a copy of the row's row-major slice.
+        """
+        ap = np.zeros(self.n * (self.n + 1) // 2)
+        for values, slots in lower_rows(self.n):
+            ap[slots] = self.values[values]
+        return ap
 
     @property
     def n_pairs(self) -> int:

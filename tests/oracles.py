@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from rankspectral import SymmetricMatrix, pair_indices
-from rankspectral.symmetric import row_offsets, triangular
+from rankspectral.symmetric import row_offsets
 
 
 def unpack_index(k: int, n: int) -> tuple[int, int]:
@@ -26,13 +26,15 @@ def unpack_index(k: int, n: int) -> tuple[int, int]:
 def column_pack(values: np.ndarray, n: int) -> np.ndarray:
     """Upper-packed buffer of row-major ``values``, gathered one column at a time.
 
-    Column j's slots tri[j] .. tri[j] + j - 1 take entries (0, j) ..
-    (j - 1, j), at row-major positions offsets[i] + j; the diagonal is zero.
+    The layout ``dspmv`` reads with ``lower=0``: column j's slots j(j+1)/2 ..
+    j(j+1)/2 + j - 1 take entries (0, j) .. (j - 1, j), at row-major
+    positions offsets[i] + j; the diagonal is zero.
     """
     ap = np.zeros(n * (n + 1) // 2)
-    offsets, tri = row_offsets(n), triangular(n)
+    offsets = row_offsets(n)
     for j in range(1, n):
-        ap[tri[j] : tri[j] + j] = values[offsets[:j] + j]
+        start = j * (j + 1) // 2
+        ap[start : start + j] = values[offsets[:j] + j]
     return ap
 
 

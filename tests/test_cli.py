@@ -13,7 +13,6 @@ silence on stdout.
 """
 
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -23,7 +22,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import rankspectral
 from rankspectral import (
     SymmetricMatrix,
     TiePolicy,
@@ -34,7 +32,7 @@ from rankspectral import (
 )
 from rankspectral.cli import main
 
-from conftest import random_symmetric
+from conftest import checkout_env, random_symmetric
 
 
 def run_cli(argv, capsys):
@@ -467,15 +465,6 @@ def assert_script_accepts(cmd, path, env=None):
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 3
     assert proc.stderr == ""
-
-
-def checkout_env():
-    """Child-process environment with the imported package first on PYTHONPATH,
-    so the child runs the code under test."""
-    package_root = str(Path(rankspectral.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return env
 
 
 def test_console_script(tmp_path, small_matrix):

@@ -125,7 +125,8 @@ def test_eigensolve_of_a_rank_matrix_packs_nothing():
 
 
 def test_eigensolve_of_a_sample_packs_one_buffer():
-    # The upper-packed buffer and one n x 32 strip with its slot indices.
+    # The lower-packed copy of n(n+1)/2 entries and vectors of size n
+    # (1.02 x 8N at n = 1000).
     matrix = sample_homogeneous(N_DIM, "normal(0,1)", 7)
     _, peak = peak_arrays(leading_eigenpair, matrix)
     assert peak <= 1.25

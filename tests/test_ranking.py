@@ -1,6 +1,7 @@
 """Rank transform, tie policies, exact moments, whitening."""
 
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -225,7 +226,7 @@ def blas_inputs(n: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
 
 
 class TestBlasLayout:
-    """rank_transform writes each rank straight into its upper-packed BLAS slot."""
+    """rank_transform writes each rank straight into its lower-packed BLAS slot."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 60, 257])
     def test_buffer_is_the_packed_reference_ranks(self, n):
@@ -241,7 +242,7 @@ class TestBlasLayout:
                     assert str(raised.value) == str(exc), label
                     continue
                 r = rank_transform(m, policy)
-                packed = SymmetricMatrix(n, expected).upper_packed()
+                packed = SymmetricMatrix(n, expected).lower_packed()
                 assert r.blas.tobytes() == packed.tobytes(), (label, policy)
 
     def test_inputs_reach_collision_runs_and_ties(self, monkeypatch):
@@ -283,22 +284,6 @@ class TestBlasLayout:
         r = RankMatrix(3, [0.75, 0.25, 0.5])
         assert np.array_equal(r.values, [0.75, 0.25, 0.5])
 
-    @pytest.mark.parametrize("n", [2, 3, 9, 60, 257])
-    def test_scatter_route_above_the_slot_rank_bits(self, n, monkeypatch):
-        # Where slot and rank position do not fit in one int64 key, the
-        # ranks are scattered into a second buffer: the same bytes, the
-        # same TieError text.
-        def blas_ranks(values, policy):
-            return rank_transform(SymmetricMatrix(n, values), policy).blas
-
-        slot_bits = (n * (n + 1) // 2 - 1).bit_length()
-        for label, values in blas_inputs(n, np.random.default_rng(n)).items():
-            for policy in (TiePolicy.error(), TiePolicy.random(n)):
-                expected = outcome(blas_ranks, values, policy)
-                monkeypatch.setattr(ranking, "_SLOT_RANK_BITS", slot_bits)
-                assert outcome(blas_ranks, values, policy) == expected, label
-                monkeypatch.undo()
-
     @pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
     def test_runs_scanned_in_small_blocks(self, block, monkeypatch):
         # Runs that cross block ends, batches of several blocks' runs, and a
@@ -310,12 +295,11 @@ class TestBlasLayout:
                     expected = outcome(reference_ranks, values, policy)
                     assert outcome(kernel_ranks, values, policy) == expected, (n, label)
 
-    def test_order_dtype_flips_at_two_to_the_31(self):
-        assert ranking._order_dtype(2**31 - 1) is np.int32
-        assert ranking._order_dtype(2**31) is np.int64
-        # n = 65535 is the largest dimension whose slots fit in int32.
-        assert ranking._order_dtype(65535 * 65536 // 2) is np.int32
-        assert ranking._order_dtype(65536 * 65537 // 2) is np.int64
+    def test_refuses_n_above_65536_before_reading_values(self):
+        # Slot and rank fill the 63 bits of one int64 key at n = 65,536.
+        need = r"n <= 65,536; n=65,537 would need 17,180,655,624 bytes"
+        with pytest.raises(ValueError, match=need):
+            rank_transform(types.SimpleNamespace(n=65_537))
 
 
 class TestTiePolicies:
@@ -377,26 +361,21 @@ class TestTiePolicies:
             assert abs(c / trials - 1 / 6) < 0.05
 
     @pytest.mark.parametrize("n", [2, 3, 7, 40])
-    def test_tied_runs_keep_their_order_past_the_key_limit(self, n, monkeypatch):
-        # Above the int64 limit of the key "value group * N + random position"
-        # the runs are ordered by two argsorts; both routes give the
-        # reference ranks, signed zeros included.
+    def test_tied_runs_with_signed_zeros_keep_their_order(self, n):
+        # The key "value group * N + random position" puts -0.0 and 0.0 in
+        # one group and gives the reference ranks.
         n_pairs = n * (n - 1) // 2
         rng = np.random.default_rng(n)
         values = rng.choice([-0.0, 0.0, 1.0, -2.5, 3.0], size=n_pairs)
-        groups = np.unique(values).shape[0]  # -0.0 and 0.0 are one group
         policy = TiePolicy.random(n)
         expected = reference_ranks(values, policy).tobytes()
-        for limit in (groups * n_pairs, groups * n_pairs - 1, 0):
-            monkeypatch.setattr(ranking, "_COMPOSITE_KEY_LIMIT", limit)
-            assert kernel_ranks(values, policy).tobytes() == expected, limit
+        assert kernel_ranks(values, policy).tobytes() == expected
 
     def test_shuffle_draws_the_permutation(self):
         for n_pairs in (1, 2, 45, 10_007):
-            for dtype in (np.int32, np.int64):
-                got = ranking._shuffled_positions(n_pairs, dtype, 3)
-                assert got.dtype == dtype
-                assert np.array_equal(got, make_generator(3).permutation(n_pairs))
+            got = ranking._shuffled_positions(n_pairs, 3)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, make_generator(3).permutation(n_pairs))
 
 
 class TestRankMatrixValidation:

@@ -1,10 +1,14 @@
 """Eigensolvers, semicircle summaries, subspace distance."""
 
 import math
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg.blas import dspmv
 
 from rankspectral import (
     ConvergenceError,
@@ -15,14 +19,16 @@ from rankspectral import (
     full_spectrum,
     leading_eigenpair,
     rank_transform,
+    sample_interpolated_rank,
     semicircle_cdf,
+    spectra,
     subspace_distance_sq,
 )
 from rankspectral import symmetric
 from rankspectral.rng import make_generator
 
-from conftest import random_symmetric
-from oracles import expectation_matrix
+from conftest import checkout_env, random_symmetric
+from oracles import column_pack, expectation_matrix
 
 
 def rank_values_matrix(n, seed):
@@ -104,17 +110,79 @@ class TestLeadingEigenpair:
         assert pair.iterations >= 1
 
 
+def upper_route(matrix, monkeypatch):
+    """Power iteration on the upper-packed layout: ``column_pack`` and ``dspmv(lower=0)``.
+
+    The same loop as :func:`leading_eigenpair`, fed the upper-packed buffer.
+    """
+    upper = types.SimpleNamespace(n=matrix.n, lower_packed=lambda: column_pack(matrix.values, matrix.n))
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            spectra, "dspmv", lambda n, alpha, ap, v, lower: dspmv(n, alpha, ap, v, lower=0)
+        )
+        return leading_eigenpair(upper)
+
+
+def ulps_apart(a: float, b: float) -> int:
+    """Distance in units in the last place between two finite floats of one sign."""
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
 class TestPackedBlas:
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 64])
     def test_matches_triu_index_scatter(self, n):
-        m = SymmetricMatrix(n, make_generator(n).standard_normal(n * (n - 1) // 2))
-        rows, cols = np.triu_indices(n, k=1)
-        expected = np.zeros(n * (n + 1) // 2)
-        expected[cols * (cols + 1) // 2 + rows] = m.values
-        packed = m.upper_packed()
-        assert packed.tobytes() == expected.tobytes()
-        # And back: row-major -> upper-packed -> row-major is the identity.
-        assert symmetric.from_upper_packed(packed, n).tobytes() == m.values.tobytes()
+        rng = make_generator(n)
+        n_pairs = n * (n - 1) // 2
+        values = np.where(rng.random(n_pairs) < 0.2, -0.0, rng.standard_normal(n_pairs))
+        m = SymmetricMatrix(n, values)
+        packed = m.lower_packed()
+        assert packed.tobytes() == m.dense()[np.triu_indices(n)].tobytes()
+        # +0.0 on the diagonal, not -0.0.
+        assert packed[symmetric.diagonal_slots(n)].tobytes() == np.zeros(n).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 300, 1000])
+    def test_within_four_ulp_of_the_upper_route(self, n, monkeypatch):
+        matrices = {
+            "ranks": rank_values_matrix(n, n),
+            "k=0": sample_interpolated_rank(n, 0, n),
+            "k=inf": sample_interpolated_rank(n, math.inf, n),
+        }
+        for label, matrix in matrices.items():
+            new, old = leading_eigenpair(matrix), upper_route(matrix, monkeypatch)
+            assert ulps_apart(new.value, old.value) <= 4, label
+            assert np.max(np.abs(new.vector - old.vector)) <= 1e-12, label
+
+
+BLAS_THREADS_CHILD = """
+import math
+from rankspectral import SymmetricMatrix, leading_eigenpair, rank_transform
+from rankspectral import sample_interpolated_rank
+from rankspectral.rng import make_generator
+
+n = 2000
+ranked = rank_transform(SymmetricMatrix(n, make_generator(4).random(n * (n - 1) // 2)))
+for matrix in (ranked, sample_interpolated_rank(n, math.inf, 5)):
+    pair = leading_eigenpair(matrix)
+    print(pair.value.hex(), pair.iterations, pair.residual.hex(), pair.vector.tobytes().hex())
+"""
+
+
+def test_eigenpair_bits_do_not_depend_on_the_blas_threads():
+    outputs = []
+    for threads in ("1", "2"):
+        env = checkout_env()
+        env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run(
+            [sys.executable, "-c", BLAS_THREADS_CHILD],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 2
+    assert outputs[0] == outputs[1]
 
 
 class TestPrepackedRankMatrix:
@@ -127,7 +195,7 @@ class TestPrepackedRankMatrix:
         def no_pack(matrix):
             raise AssertionError("a rank matrix from rank_transform was packed again")
 
-        monkeypatch.setattr(SymmetricMatrix, "upper_packed", no_pack)
+        monkeypatch.setattr(SymmetricMatrix, "lower_packed", no_pack)
         pair = leading_eigenpair(ranked)
         assert (pair.value, pair.iterations, pair.residual) == (
             expected.value,
@@ -139,7 +207,7 @@ class TestPrepackedRankMatrix:
     def test_constructed_rank_matrix_is_packed(self):
         ranked = rank_values_matrix(9, 1)
         constructed = RankMatrix(9, ranked.values)
-        assert constructed.upper_packed().tobytes() == ranked.upper_packed().tobytes()
+        assert constructed.lower_packed().tobytes() == ranked.lower_packed().tobytes()
         a = leading_eigenpair(constructed)
         b = leading_eigenpair(ranked)
         assert (a.value, a.iterations, a.residual) == (b.value, b.iterations, b.residual)

@@ -28,7 +28,7 @@ from rankspectral import (
 )
 
 from conftest import random_symmetric
-from oracles import column_pack, expectation_matrix, permute_nodes, unpack_index
+from oracles import expectation_matrix, permute_nodes, unpack_index
 
 
 class TestPackIndex:
@@ -85,22 +85,26 @@ class TestPackIndex:
 
 
 class TestLayouts:
-    """The map between the row-major and the upper-packed layout."""
+    """The map between the row-major and the lower-packed layout."""
 
     def test_row_major_index_is_exact(self):
         for n in range(2, 301):
-            rows, cols = np.triu_indices(n, k=1)
-            slots = cols * (cols + 1) // 2 + rows
+            rows, _ = np.triu_indices(n, k=1)
+            slots = np.arange(n * (n - 1) // 2) + rows + 1
             out = np.empty(n * (n - 1) // 2, dtype=np.int64)
-            symmetric.upper_slots(n, out)
+            symmetric.lower_slots(n, out)
             assert np.array_equal(out, slots), n
             for dtype in (np.int32, np.int64):
                 got = symmetric.row_major_index(slots.astype(dtype), n)
+                assert got.dtype == dtype
                 assert np.array_equal(got, np.arange(n * (n - 1) // 2)), (n, dtype)
 
     def test_diagonal_slots(self):
         for n in (2, 3, 7, 40):
-            assert symmetric.diagonal_slots(n).tolist() == [j * (j + 1) // 2 + j for j in range(n)]
+            expected = [i * n - i * (i - 1) // 2 for i in range(n)]
+            assert symmetric.diagonal_slots(n).tolist() == expected
+            rows, cols = np.triu_indices(n)
+            assert np.flatnonzero(rows == cols).tolist() == expected
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 64])
     def test_dense_is_the_triu_indices_build(self, n):
@@ -113,50 +117,21 @@ class TestLayouts:
         expected[cols, rows] = values
         assert SymmetricMatrix(n, values).dense().tobytes() == expected.tobytes()
 
-    @staticmethod
-    def check_pack(values, n):
-        ap = symmetric.to_upper_packed(values, n)
-        assert ap.tobytes() == column_pack(values, n).tobytes(), n
-        diagonal = ap[symmetric.diagonal_slots(n)]
-        assert diagonal.tobytes() == np.zeros(n).tobytes(), n  # +0.0, not -0.0
-        assert symmetric.from_upper_packed(ap, n).tobytes() == values.tobytes(), n
-
-    def test_strip_pack_is_the_column_walk(self):
-        # Every strip count and remainder up to three strips and a bit,
-        # then sizes that leave a partial last strip.
-        strip = symmetric._STRIP
-        rng = np.random.default_rng(11)
-        for n in [*range(2, 3 * strip + 3), 257, 1000, 1001]:
-            n_pairs = n * (n - 1) // 2
-            values = np.where(rng.random(n_pairs) < 0.1, -0.0, rng.normal(size=n_pairs))
-            self.check_pack(values, n)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 300), st.integers(0, 2**32 - 1))
-    def test_strip_pack_property(self, n, seed):
-        rng = np.random.default_rng(seed)
-        n_pairs = n * (n - 1) // 2
-        bits = rng.integers(0, 2**64, size=n_pairs, dtype=np.uint64)
-        # Arbitrary finite bit patterns; the non-finite ones become -0.0.
-        values = bits.view(np.float64)
-        values = np.where(np.isfinite(values), values, -0.0)
-        self.check_pack(values, n)
-
     @pytest.mark.parametrize("n", [65535, 65536])
     def test_row_major_index_near_the_int32_limit(self, n):
-        # Slots at both ends of the first, middle and last columns, where
-        # j(j+1)/2 is closest to the float square root's rounding. n = 65535
-        # is the largest dimension whose slots fit in int32.
+        # Slots at both ends of the first, middle and last rows, where the
+        # search meets the row starts. n = 65535 is the largest dimension
+        # whose slots fit in int32.
         pairs = [
             (i, j)
-            for j in (1, 2, 3, n // 2, n - 3, n - 2, n - 1)
-            for i in (0, 1, j // 2, j - 2, j - 1)
-            if 0 <= i < j
+            for i in (0, 1, 2, n // 2, n - 3, n - 2)
+            for j in (i + 1, i + 2, n - 2, n - 1)
+            if i < j < n
         ]
         dtype = np.int32 if n == 65535 else np.int64
-        slots = np.array([j * (j + 1) // 2 + i for i, j in pairs], dtype=dtype)
-        expected = [i * (2 * n - i - 1) // 2 + (j - i - 1) for i, j in pairs]
-        assert symmetric.row_major_index(slots, n).tolist() == expected
+        positions = [i * (2 * n - i - 1) // 2 + (j - i - 1) for i, j in pairs]
+        slots = np.array([k + i + 1 for k, (i, _) in zip(positions, pairs)], dtype=dtype)
+        assert symmetric.row_major_index(slots, n).tolist() == positions
 
 
 class TestSymmetricMatrix:

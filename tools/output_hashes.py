@@ -13,6 +13,10 @@ and after. Covered outputs:
   dense file and of the tied file and its scores plus one under the default
   ``--ties error``. The files are written here with ``repr`` of each float, not
   with ``save_matrix``, so a change to the writer cannot change the input;
+- for each of those ``test`` input files, the bytes of ``load_matrix(...).values``
+  and of ``rank_transform(..., policy).values`` under the run's tie policy, or
+  the error either one raises, so parse results and ranks are checked on
+  their own, apart from the eigenpair the report carries;
 - every ``reproduce`` target at ``--scale 0.05``.
 
 CSV files are hashed as bytes. JSON files are hashed after dropping every
@@ -53,10 +57,15 @@ import numpy as np  # noqa: E402
 from rankspectral import (  # noqa: E402
     TARGETS,
     ExperimentConfig,
+    FormatError,
+    TieError,
+    TiePolicy,
     eigen_relationship_experiment,
     fk_comparison_experiment,
+    load_matrix,
     null_distribution_experiment,
     operator_norm_tail_experiment,
+    rank_transform,
     rejection_rate_experiment,
     reproduce_target,
     semicircle_experiment,
@@ -236,6 +245,21 @@ def cli_test_outputs(out: Path):
         yield digest, f"{label} exit={code}"
 
 
+def rank_outputs(out: Path):
+    """(hash, label) per ``test`` input file: its parsed values and their ranks."""
+    for label, argv, _ in cli_test_runs(out):
+        format = argv[argv.index("--format") + 1]
+        policy = TiePolicy.error()
+        if "random" in argv:
+            policy = TiePolicy.random(int(argv[argv.index("--seed") + 1]))
+        try:
+            matrix = load_matrix(argv[1], format)
+            parts = [matrix.values.tobytes(), rank_transform(matrix, policy).values.tobytes()]
+        except (FormatError, TieError) as exc:
+            parts = [f"{type(exc).__name__}: {exc}".encode()]
+        yield sha(b"\0".join(parts)), label
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", help="directory for the outputs; use the same one for both runs")
@@ -252,6 +276,8 @@ def main() -> int:
         print(f"{file_hash(path)}  cli {path.relative_to(out)}")
     for digest, label in cli_test_outputs(out):
         print(f"{digest}  test {label}", flush=True)
+    for digest, label in rank_outputs(out):
+        print(f"{digest}  rank {label}", flush=True)
     for target in TARGETS:
         paths = reproduce_target(
             target, seed=1, out_dir=out / "reproduce", scale=REPRODUCE_SCALE,
