@@ -115,7 +115,9 @@ def upper_route(matrix, monkeypatch):
 
     The same loop as :func:`leading_eigenpair`, fed the upper-packed buffer.
     """
-    upper = types.SimpleNamespace(n=matrix.n, lower_packed=lambda: column_pack(matrix.values, matrix.n))
+    upper = types.SimpleNamespace(
+        n=matrix.n, lower_packed=lambda: column_pack(matrix.values, matrix.n)
+    )
     with monkeypatch.context() as patch:
         patch.setattr(
             spectra, "dspmv", lambda n, alpha, ap, v, lower: dspmv(n, alpha, ap, v, lower=0)
@@ -168,6 +170,8 @@ for matrix in (ranked, sample_interpolated_rank(n, math.inf, 5)):
 
 
 def test_eigenpair_bits_do_not_depend_on_the_blas_threads():
+    # A product whose bits change with the thread count, such as two dtpmv
+    # calls on the row-major values, fails here at n = 2000.
     outputs = []
     for threads in ("1", "2"):
         env = checkout_env()
