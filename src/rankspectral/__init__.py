@@ -40,10 +40,8 @@ from .spectra import (
     subspace_distance_sq,
 )
 from .inference import (
-    SeparationEstimate,
     TestResult,
     Z_0025,
-    e1f2,
     eigenvalue_statistic,
     eigenvector_statistic,
     run_test,
@@ -58,7 +56,6 @@ from .models import (
     PlantedAssignment,
     TwoBlockAssignment,
     Uniform,
-    format_distribution,
     parse_distribution,
     sample_homogeneous,
     sample_interpolated_rank,
@@ -130,7 +127,6 @@ __all__ = [
     "Pareto",
     "PlantedAssignment",
     "RankMatrix",
-    "SeparationEstimate",
     "SymmetricMatrix",
     "TARGETS",
     "TestResult",
@@ -140,13 +136,11 @@ __all__ = [
     "Uniform",
     "Z_0025",
     "derive_seed",
-    "e1f2",
     "eigen_relationship_experiment",
     "eigenvalue_statistic",
     "eigenvector_statistic",
     "esd_from_eigenvalues",
     "fk_comparison_experiment",
-    "format_distribution",
     "full_spectrum",
     "leading_eigenpair",
     "load_matrix",

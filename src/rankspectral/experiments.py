@@ -162,9 +162,6 @@ class ExperimentReport:
     def to_json(self, indent: int | None = 2, include_elapsed: bool = True) -> str:
         return json.dumps(self.to_dict(include_elapsed=include_elapsed), indent=indent)
 
-    def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
-
 
 def _run_indexed(worker: Callable[[int], tuple], count: int, threads: int) -> list[tuple]:
     """Evaluate worker(0..count-1), results in index order, errors annotated."""

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .models import EntryDistribution, Normal, as_distribution
 from .ranking import TiePolicy, moments, rank_transform
-from .rng import make_generator
 from .spectra import leading_eigenpair
 from .symmetric import SymmetricMatrix
 
@@ -116,8 +114,6 @@ def run_test(
     alpha: float = 0.05,
     policy: TiePolicy | None = None,
     alternative: str = "two-sided",
-    tol: float = 1e-12,
-    max_iter: int = 10_000,
 ) -> TestResult:
     """Rank-transform ``matrix`` and test for latent structure.
 
@@ -135,8 +131,6 @@ def run_test(
         ``two-sided`` (default) or ``greater``. Spiked alternatives push
         the statistic to the right, so ``greater`` buys power when a
         directional alternative is defensible.
-    tol, max_iter : float, int
-        Forwarded to :func:`leading_eigenpair`.
 
     Returns
     -------
@@ -150,7 +144,7 @@ def run_test(
     if matrix.n < 3:
         raise ValueError("the test needs n >= 3")
     ranked = rank_transform(matrix, policy)
-    pair = leading_eigenpair(ranked, tol=tol, max_iter=max_iter)
+    pair = leading_eigenpair(ranked)
     n = matrix.n
     m = moments(n)
     t_stat = (pair.value - m.centering) / m.sigma_tilde
@@ -170,63 +164,4 @@ def run_test(
         sigma_tilde=m.sigma_tilde,
         centering=m.centering,
         u1_dot_uhat=overlap,
-    )
-
-
-@dataclass(frozen=True)
-class SeparationEstimate:
-    """Estimate of pr(X2 <= X1) for X1 ~ F1, X2 ~ F2 independent.
-
-    ``method`` is ``closed-form`` (exact, Gaussian pair) or ``monte-carlo``
-    (then ``samples``, ``seed`` and the binomial ``std_error`` are set).
-    The value is 1/2 exactly when F1 == F2 is continuous; its distance from
-    1/2 drives the power of the eigenvalue test under two-group structure.
-    """
-
-    value: float
-    method: str
-    samples: int | None = None
-    seed: int | None = None
-    std_error: float | None = None
-
-
-def e1f2(
-    f1: EntryDistribution | str,
-    f2: EntryDistribution | str,
-    method: str = "auto",
-    samples: int = 1_000_000,
-    seed: int | None = None,
-) -> SeparationEstimate:
-    """Separation functional pr(X2 <= X1) between two entry distributions.
-
-    ``method="auto"`` uses the Gaussian closed form
-    Phi((mu1 - mu2) / sqrt(sigma1^2 + sigma2^2)) when both distributions are
-    normal and Monte Carlo otherwise; ``closed-form`` and ``monte-carlo``
-    force the route. Monte Carlo requires an explicit ``seed`` and at least
-    100 samples.
-    """
-    f1 = as_distribution(f1)
-    f2 = as_distribution(f2)
-    if method not in ("auto", "closed-form", "monte-carlo"):
-        raise ValueError(f"unknown method {method!r}")
-    gaussian = isinstance(f1, Normal) and isinstance(f2, Normal)
-    if method == "closed-form" and not gaussian:
-        raise ValueError("closed-form e1f2 is only available for a normal/normal pair")
-    if method in ("auto", "closed-form") and gaussian:
-        gap = (f1.mu - f2.mu) / math.hypot(f1.sigma, f2.sigma)
-        return SeparationEstimate(value=std_normal_cdf(gap), method="closed-form")
-    if samples < 100:
-        raise ValueError(f"samples must be >= 100, got {samples}")
-    if seed is None:
-        raise ValueError("monte-carlo e1f2 requires a seed")
-    rng = make_generator(seed)
-    x1 = f1.sample(samples, rng)
-    x2 = f2.sample(samples, rng)
-    p = float(np.count_nonzero(x2 <= x1)) / samples
-    return SeparationEstimate(
-        value=p,
-        method="monte-carlo",
-        samples=samples,
-        seed=seed,
-        std_error=math.sqrt(max(p * (1.0 - p), 1e-300) / samples),
     )

@@ -1,9 +1,8 @@
 """Entry distributions and generative models for symmetric data matrices.
 
 Distributions are small frozen dataclasses with a ``sample`` method; the
-text form ``family(param, param)`` round-trips through
-:func:`parse_distribution` / :func:`format_distribution` and is what the CLI
-and experiment configs carry.
+text form ``family(param, param)``, read by :func:`parse_distribution`, is
+what the CLI and experiment configs carry.
 
 Models fill the strict upper triangle in pack order from per-seed Philox
 streams, so every sampler is a pure function of its arguments.
@@ -159,19 +158,6 @@ def parse_distribution(text: str) -> EntryDistribution:
         return cls(*args)
     except ValueError as exc:
         raise DistributionParseError(text, head.end() + 1, str(exc)) from None
-
-
-def format_distribution(dist: EntryDistribution) -> str:
-    """Canonical text form; ``parse_distribution`` round-trips it exactly."""
-    if isinstance(dist, Normal):
-        return f"normal({dist.mu!r},{dist.sigma!r})"
-    if isinstance(dist, Uniform):
-        return f"uniform({dist.low!r},{dist.high!r})"
-    if isinstance(dist, Exponential):
-        return f"exponential({dist.rate!r})"
-    if isinstance(dist, Pareto):
-        return f"pareto({dist.scale!r},{dist.shape!r})"
-    raise TypeError(f"not an entry distribution: {dist!r}")
 
 
 def as_distribution(dist: EntryDistribution | str) -> EntryDistribution:

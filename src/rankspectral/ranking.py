@@ -59,37 +59,19 @@ class TiePolicy:
 
 
 class RankMatrix(SymmetricMatrix):
-    """A symmetric matrix whose entries are normalized ranks.
+    """A symmetric matrix whose entries are normalized ranks k/(N+1), k = 1..N.
 
-    The packed values must be exactly a permutation of k/(N+1) for
-    k = 1..N; the constructor verifies this.
-
-    Every rank matrix holds ``blas``, its ranks in the lower-packed layout
-    (see :mod:`rankspectral.symmetric`), read-only, and hands it to the
-    eigensolver with no pack step. A matrix from :func:`rank_transform`
-    holds only ``blas``; its row-major ``values``, the buffer less its n
-    diagonal slots, are copied out row by row on first access, then cached
-    and read-only. The constructor packs once.
+    A rank matrix comes from :func:`rank_transform`. It holds ``blas``, its
+    ranks in the lower-packed layout (see :mod:`rankspectral.symmetric`),
+    read-only, and hands it to the eigensolver with no pack step. Its
+    row-major ``values``, the buffer less its n diagonal slots, are copied
+    out row by row on first access, then cached and read-only.
     """
 
-    blas: np.ndarray
-
-    def __init__(self, n: int, values: np.ndarray) -> None:
-        super().__init__(n, values)
-        expected = np.arange(1, self.n_pairs + 1) / (self.n_pairs + 1)
-        if not np.array_equal(np.sort(self.values), expected):
-            raise ValueError("values are not a permutation of k/(N+1), k=1..N")
-        self.blas = super().lower_packed()
-        self.blas.flags.writeable = False
-
-    @classmethod
-    def _from_blas(cls, n: int, blas: np.ndarray) -> "RankMatrix":
-        """Wrap the buffer :func:`rank_transform` just filled, without a copy or checks."""
+    def __init__(self, n: int, blas: np.ndarray) -> None:
         blas.flags.writeable = False
-        result = cls.__new__(cls)
-        result.n = n
-        result.blas = blas
-        return result
+        self.n = n
+        self.blas = blas
 
     def lower_packed(self) -> np.ndarray:
         """``blas`` itself, read-only: no copy and no pack step."""
@@ -97,8 +79,6 @@ class RankMatrix(SymmetricMatrix):
 
     @functools.cached_property
     def values(self) -> np.ndarray:
-        # Only reached for a matrix from rank_transform: the constructor
-        # stores ``values`` on the instance, which shadows this property.
         values = np.empty(self.n_pairs)
         for row, slots in lower_rows(self.n):
             values[row] = self.blas[slots]
@@ -214,7 +194,7 @@ def rank_transform(matrix: SymmetricMatrix, policy: TiePolicy | None = None) -> 
         block = rank[: min(_BLOCK, n_slots - lo)]
         np.bitwise_and(buffer[lo : lo + _BLOCK], (1 << rank_bits) - 1, out=block)
         np.divide(block, n_pairs + 1, out=ranks[lo : lo + block.shape[0]])
-    return RankMatrix._from_blas(n, ranks)
+    return RankMatrix(n, ranks)
 
 
 def _sort_keys(a: np.ndarray, n: int, bits: int, keys: np.ndarray) -> None:

@@ -112,16 +112,8 @@ def leading_eigenpair(
         residual = float(np.linalg.norm(w - lam * v))
         streak = streak + 1 if abs(lam - lam_prev) <= tol * abs(lam) else 0
         lam_prev = lam
-        if streak >= 2 and residual <= tol * (abs(lam) + resid_floor):
-            if lam < n / 4.0 and not restarted:
-                # Stalled on a minor eigenpair; one restart from a generic
-                # direction recovers the dominant one.
-                restarted = True
-                v = make_generator(_RESTART_SEED).standard_normal(n)
-                v /= np.linalg.norm(v)
-                lam_prev = math.inf
-                streak = 0
-                continue
+        converged = streak >= 2 and residual <= tol * (abs(lam) + resid_floor)
+        if converged and (lam >= n / 4.0 or restarted):
             return EigenPair(
                 value=lam,
                 vector=_fix_sign(v),
@@ -129,9 +121,10 @@ def leading_eigenpair(
                 residual=residual,
             )
         wnorm = float(np.linalg.norm(w))
-        if wnorm == 0.0:
-            # v is an exact kernel vector. Restart once in case the start
-            # was degenerate; seeing a zero image again means M is the zero
+        if converged or wnorm == 0.0:
+            # Stalled on a minor eigenpair, or v is an exact kernel vector:
+            # one restart from a generic direction recovers the dominant
+            # pair. A zero image after the restart means M is the zero
             # matrix (a random vector hits a proper kernel with probability
             # zero), for which (0, v) is the answer.
             if restarted:

@@ -171,8 +171,8 @@ class SymmetricMatrix:
         """Number of stored entries, n(n-1)/2."""
         return self.n * (self.n - 1) // 2
 
-    @classmethod
-    def from_dense(cls, array: np.ndarray, rtol: float = _SYMMETRY_RTOL) -> "SymmetricMatrix":
+    @staticmethod
+    def from_dense(array: np.ndarray, rtol: float = _SYMMETRY_RTOL) -> "SymmetricMatrix":
         """Build from a dense square array.
 
         The array must be symmetric within ``|A_ij - A_ji| <= rtol *
@@ -180,10 +180,9 @@ class SymmetricMatrix:
         diagonal is discarded.
 
         The rows are folded into the packed values one at a time (see
-        ``_merge_rows``), so no n x n temporary is made, and a
-        :class:`SymmetricMatrix` adopts those values without a copy; a
-        subclass runs its own constructor on them. Only an asymmetric array
-        is scanned whole again, to name its worst pair.
+        ``_merge_rows``), so no n x n temporary is made, and the result
+        adopts those values without a copy. Only an asymmetric array is
+        scanned whole again, to name its worst pair.
         """
         arr = np.asarray(array, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -200,9 +199,7 @@ class SymmetricMatrix:
                 f"entries ({i},{j}) and ({j},{i}) differ by {gap[i, j]:.3e}, "
                 f"beyond tolerance {bound[i, j]:.3e}"
             )
-        if cls is SymmetricMatrix:
-            return SymmetricMatrix.adopt(n, values)
-        return cls(n, values)
+        return SymmetricMatrix.adopt(n, values)
 
     def entry(self, i: int, j: int) -> float:
         """Entry (i, j); zero on the diagonal."""
@@ -267,25 +264,22 @@ def _merge_rows(values: np.ndarray, rows: np.ndarray, first: int, rtol: float) -
 
 @dataclass(frozen=True)
 class MatrixSource:
-    """Where and how to read a matrix.
+    """The file to read a matrix from, and its format.
 
-    Exactly one of ``path`` or ``stream`` must be set; ``format`` is one of
-    ``dense-csv``, ``upper-triangle-text``, ``weighted-edge-list``.
+    ``format`` is one of ``dense-csv``, ``upper-triangle-text``,
+    ``weighted-edge-list``.
     """
 
     format: str
-    path: str | Path | None = None
-    stream: IO[str] | None = None
+    path: str | Path
 
     def __post_init__(self) -> None:
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}; expected one of {FORMATS}")
-        if (self.path is None) == (self.stream is None):
-            raise ValueError("exactly one of path or stream must be given")
 
 
 def load_matrix(source: MatrixSource | str | Path, format: str = "dense-csv") -> SymmetricMatrix:
-    """Read a :class:`SymmetricMatrix` from a file or stream.
+    """Read a :class:`SymmetricMatrix` from a file.
 
     A file of plain numeric text, with LF, CRLF or CR line ends, is parsed in
     one vectorized pass. The pass reads the file in blocks of whole lines
@@ -297,7 +291,7 @@ def load_matrix(source: MatrixSource | str | Path, format: str = "dense-csv") ->
     count, a non-finite value, an asymmetric pair) is read again from the
     start, line by line, and the line reader's result or line-numbered
     error stands, so the two routes accept the same inputs and word every
-    error alike. A stream is read line by line.
+    error alike.
 
     Parameters
     ----------
@@ -315,13 +309,10 @@ def load_matrix(source: MatrixSource | str | Path, format: str = "dense-csv") ->
     AsymmetryError
         Dense input asymmetric beyond ``1e-9 * max(1, |entry|)``.
     FileNotFoundError
-        Path source does not exist.
+        The file does not exist.
     """
     if not isinstance(source, MatrixSource):
         source = MatrixSource(format=format, path=source)
-    if source.path is None:
-        assert source.stream is not None
-        return _parse(source.format, source.stream)
     with open(source.path, "rb") as fh:
         matrix = _parse_blocks(source.format, fh)
         if matrix is None:
@@ -332,21 +323,18 @@ def load_matrix(source: MatrixSource | str | Path, format: str = "dense-csv") ->
 
 def save_matrix(
     matrix: SymmetricMatrix,
-    target: str | Path | IO[str],
+    target: str | Path,
     format: str = "dense-csv",
 ) -> None:
-    """Write a matrix in one of the supported formats.
+    """Write a matrix to a file in one of the supported formats.
 
-    Values are emitted with shortest round-trip float repr, so
-    ``load_matrix(save_matrix(M)) == M`` bit-exactly.
+    Values are emitted with shortest round-trip float repr, so loading the
+    file gives back the matrix bit-exactly.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
-    if hasattr(target, "write"):
-        _emit(matrix, target, format)  # type: ignore[arg-type]
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            _emit(matrix, fh, format)
+    with open(target, "w", encoding="utf-8") as fh:
+        _emit(matrix, fh, format)
 
 
 def _emit(matrix: SymmetricMatrix, fh: IO[str], format: str) -> None:
@@ -365,26 +353,18 @@ def _emit(matrix: SymmetricMatrix, fh: IO[str], format: str) -> None:
             fh.write(f"{i} {j} {repr(float(v))}\n")
 
 
-def _decode_error(exc: UnicodeDecodeError, lines_before: int = 0) -> FormatError:
-    """The error for undecodable bytes that follow ``lines_before`` whole lines.
-
-    ``exc.object`` is what the decoder was given: the whole file, or the
-    chunk of a stream read after its last whole line. Line breaks in it are
-    counted as text mode counts them: LF, CRLF and a lone CR. A stream's
-    decoder holds back a CR that ends a chunk, and that break is not seen
-    here, so with lone-CR line ends a stream's number can be one short.
-    """
-    head = exc.object[: exc.start]
-    lineno = lines_before + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-    return FormatError(f"line {lineno}: invalid UTF-8 byte 0x{exc.object[exc.start]:02x}")
-
-
 def _utf8_lines(data: bytes) -> IO[str]:
-    """The lines of ``data`` as ``open(path, encoding="utf-8")`` yields them."""
+    """The lines of ``data`` as ``open(path, encoding="utf-8")`` yields them.
+
+    An undecodable byte is a FormatError naming its line, with line breaks
+    counted as text mode counts them: LF, CRLF and a lone CR.
+    """
     try:
         return io.StringIO(data.decode("utf-8"), newline=None)
     except UnicodeDecodeError as exc:
-        raise _decode_error(exc) from None
+        head = data[: exc.start]
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise FormatError(f"line {lineno}: invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
 
 
 # The only bytes the vectorized pass accepts. On such text numpy splits lines
@@ -569,14 +549,10 @@ def _parse(format: str, fh: IO[str]) -> SymmetricMatrix:
 
 
 def _numbered_lines(fh: IO[str]) -> Iterator[tuple[int, str]]:
-    lineno = 0
-    try:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line:
-                yield lineno, line
-    except UnicodeDecodeError as exc:
-        raise _decode_error(exc, lineno) from None
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if line:
+            yield lineno, line
 
 
 def _parse_float(token: str, lineno: int) -> float:

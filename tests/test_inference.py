@@ -1,4 +1,4 @@
-"""Standardized statistics, the structure test, and the separation functional."""
+"""Standardized statistics and the structure test."""
 
 import json
 import math
@@ -8,13 +8,11 @@ import numpy as np
 import pytest
 
 from rankspectral import (
-    Normal,
     SymmetricMatrix,
     TestResult,
     TieError,
     TiePolicy,
     Z_0025,
-    e1f2,
     eigenvalue_statistic,
     eigenvector_statistic,
     moments,
@@ -198,59 +196,3 @@ class TestRunTest:
         with pytest.raises(ValueError, match="n >= 3"):
             run_test(random_symmetric(2, seed=0))
 
-
-class TestE1F2:
-    def test_gaussian_closed_form(self):
-        est = e1f2(Normal(1.0, 1.0), Normal(2.0, 1.0))
-        assert est.method == "closed-form"
-        assert est.value == pytest.approx(0.23975006109347674, rel=1e-12)
-        assert est.std_error is None
-
-    def test_equal_distributions_give_half(self):
-        est = e1f2("normal(3, 2)", "normal(3, 2)")
-        assert est.value == pytest.approx(0.5, abs=1e-15)
-
-    def test_closed_form_complementarity(self):
-        a = e1f2(Normal(0.0, 1.0), Normal(1.0, 2.0)).value
-        b = e1f2(Normal(1.0, 2.0), Normal(0.0, 1.0)).value
-        assert a + b == pytest.approx(1.0, abs=1e-14)
-
-    def test_string_specs_accepted(self):
-        est = e1f2("normal(1, 1)", "normal(2, 1)")
-        assert est.value == pytest.approx(0.23975006109347674, rel=1e-12)
-
-    def test_monte_carlo_matches_closed_form(self):
-        exact = e1f2(Normal(1.0, 1.0), Normal(2.0, 1.0)).value
-        mc = e1f2(Normal(1.0, 1.0), Normal(2.0, 1.0), method="monte-carlo", seed=8)
-        assert mc.method == "monte-carlo"
-        assert mc.samples == 1_000_000
-        assert mc.seed == 8
-        assert abs(mc.value - exact) < 4.0 * mc.std_error
-
-    def test_monte_carlo_continuous_null_is_half(self):
-        est = e1f2("pareto(1, 1)", "pareto(1, 1)", seed=4, samples=200_000)
-        assert abs(est.value - 0.5) < 4.0 * est.std_error
-
-    def test_monte_carlo_determinism(self):
-        a = e1f2("exponential(2)", "normal(0.5, 0.2)", seed=10, samples=10_000)
-        b = e1f2("exponential(2)", "normal(0.5, 0.2)", seed=10, samples=10_000)
-        assert a.value == b.value
-        assert a.std_error == b.std_error
-
-    def test_heavy_tail_pair_is_one_sided(self):
-        # Pareto(1,1) sits above 1 while N(1, 0.1^2) straddles it, so
-        # pr(normal <= pareto) is near 1 and the reverse is near 0.
-        est = e1f2("pareto(1, 1)", "normal(1, 0.1)", seed=2, samples=100_000)
-        assert est.value > 0.9
-        est_rev = e1f2("normal(1, 0.1)", "pareto(1, 1)", seed=2, samples=100_000)
-        assert est_rev.value < 0.1
-
-    def test_method_validation(self):
-        with pytest.raises(ValueError, match="unknown method"):
-            e1f2("normal(0,1)", "normal(0,1)", method="quadrature")
-        with pytest.raises(ValueError, match="closed-form"):
-            e1f2("pareto(1,1)", "normal(0,1)", method="closed-form")
-        with pytest.raises(ValueError, match="seed"):
-            e1f2("pareto(1,1)", "normal(0,1)")
-        with pytest.raises(ValueError, match="samples"):
-            e1f2("pareto(1,1)", "normal(0,1)", seed=1, samples=10)

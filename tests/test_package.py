@@ -97,3 +97,32 @@ CASES = {
 def test_crossing_detector(case):
     source, expected = CASES[case]
     assert private_crossings(source, "spectra") == expected
+
+
+ROOT = PACKAGE_DIR.parents[1]
+# The writer half of the bit-exact round-trip contract: only tests save a
+# matrix, to check that loading what was saved gives it back bit for bit.
+EXPORTS_WITHOUT_CALLER = {"save_matrix"}
+
+
+def used_names(paths):
+    """Every identifier the sources at ``paths`` read, as a name or an attribute."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_export_has_a_caller_outside_tests():
+    import rankspectral
+
+    callers = [path for path in PACKAGE_DIR.glob("*.py") if path.name != "__init__.py"]
+    for folder in ("demos", "tools", "perfbench"):
+        callers += sorted((ROOT / folder).rglob("*.py"))
+    used = used_names(callers)
+    unused = set(rankspectral.__all__) - used - EXPORTS_WITHOUT_CALLER
+    assert sorted(unused) == []

@@ -13,7 +13,6 @@ from scipy.linalg.blas import dspmv
 from rankspectral import (
     ConvergenceError,
     EigenPair,
-    RankMatrix,
     SymmetricMatrix,
     esd_from_eigenvalues,
     full_spectrum,
@@ -207,15 +206,6 @@ class TestPrepackedRankMatrix:
             expected.residual,
         )
         assert pair.vector.tobytes() == expected.vector.tobytes()
-
-    def test_constructed_rank_matrix_is_packed(self):
-        ranked = rank_values_matrix(9, 1)
-        constructed = RankMatrix(9, ranked.values)
-        assert constructed.lower_packed().tobytes() == ranked.lower_packed().tobytes()
-        a = leading_eigenpair(constructed)
-        b = leading_eigenpair(ranked)
-        assert (a.value, a.iterations, a.residual) == (b.value, b.iterations, b.residual)
-        assert a.vector.tobytes() == b.vector.tobytes()
 
 
 class TestFullSpectrum:
