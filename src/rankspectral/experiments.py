@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import special
 
-from .inference import eigenvalue_statistic, eigenvector_statistic, run_test
+from .inference import eigenvalue_statistic, eigenvector_statistic, run_test, std_normal_cdf
 from .models import (
     Normal,
     Uniform,
@@ -44,6 +44,7 @@ from .rng import derive_seed
 from .spectra import (
     esd_from_eigenvalues,
     full_spectrum,
+    ks_distance,
     leading_eigenpair,
     subspace_distance_sq,
     ESDSummary,
@@ -228,14 +229,6 @@ def _ranked_null(n: int, seed_r: int) -> RankMatrix:
     return rank_transform(matrix, TiePolicy.random(derive_seed(seed_r, 1)))
 
 
-def _ks_to_standard_normal(values: np.ndarray) -> float:
-    ordered = np.sort(np.asarray(values, dtype=np.float64))
-    n = ordered.shape[0]
-    cdf = 0.5 * special.erfc(-ordered / math.sqrt(2.0))
-    grid = np.arange(n, dtype=np.float64)
-    return max(float(np.max(cdf - grid / n)), float(np.max((grid + 1.0) / n - cdf)))
-
-
 def moment_summary(values: np.ndarray) -> dict:
     """Count, mean, variance, skewness and KS distance to N(0, 1) of ``values``."""
     vals = np.asarray(values, dtype=np.float64)
@@ -253,7 +246,7 @@ def moment_summary(values: np.ndarray) -> dict:
         "mean": mean,
         "variance": variance,
         "skewness": skewness,
-        "ks_to_normal": _ks_to_standard_normal(vals),
+        "ks_to_normal": ks_distance(std_normal_cdf(np.sort(vals))),
     }
 
 

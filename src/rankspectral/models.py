@@ -186,14 +186,6 @@ class PlantedAssignment:
 
     labels: np.ndarray
 
-    @property
-    def n1(self) -> int:
-        return int(np.count_nonzero(self.labels))
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.labels)
-
 
 def sample_homogeneous(
     n: int, dist: EntryDistribution | str, seed: int

@@ -21,6 +21,8 @@ from .symmetric import SymmetricMatrix
 
 FULL_SPECTRUM_CAP = 4000
 
+_TOL = 1e-12
+_MAX_ITER = 10_000
 _RESTART_SEED = 0x5EED0F0B
 
 
@@ -33,9 +35,9 @@ class EigenPair:
     """Leading eigenvalue and unit eigenvector.
 
     ``residual`` is ||M v - value * v||_2 at the accepted iterate; it
-    satisfies residual <= tol * (|value| + ||M||_F / sqrt(n)). ``iterations``
-    counts matrix-vector products. The vector's sign is fixed so that its
-    component sum is positive.
+    satisfies residual <= 1e-12 * (|value| + ||M||_F / sqrt(n)).
+    ``iterations`` counts matrix-vector products, at most 10,000. The
+    vector's sign is fixed so that its component sum is positive.
     """
 
     value: float
@@ -56,12 +58,7 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if s < 0.0 else v
 
 
-def leading_eigenpair(
-    matrix: SymmetricMatrix,
-    tol: float = 1e-12,
-    max_iter: int = 10_000,
-    start: np.ndarray | None = None,
-) -> EigenPair:
+def leading_eigenpair(matrix: SymmetricMatrix) -> EigenPair:
     """Largest eigenvalue and its eigenvector by power iteration.
 
     Assumes the leading eigenvalue strictly dominates in modulus, which
@@ -69,14 +66,14 @@ def leading_eigenpair(
     rank matrix with n >= 3) and, with overwhelming probability, for the
     mean-shifted models used elsewhere in this package.
 
-    Iterates v <- Mv / ||Mv|| from ``start`` (default: the constant unit
-    vector) with Rayleigh-quotient estimates. Terminates when the relative
-    eigenvalue change stays below ``tol`` on two consecutive iterations and
-    the residual bound recorded on :class:`EigenPair` holds. If the iterate
-    converges onto an eigenpair whose value is below n/4 (possible when the
-    start vector is nearly orthogonal to the dominant eigenvector), the
-    iteration restarts once from a fixed-seed random vector; spiked matrices
-    have their dominant eigenvalue of order n/2, far above that floor.
+    Iterates v <- Mv / ||Mv|| from the constant unit vector with
+    Rayleigh-quotient estimates. Terminates when the relative eigenvalue
+    change stays below 1e-12 on two consecutive iterations and the residual
+    bound recorded on :class:`EigenPair` holds. If the iterate converges
+    onto an eigenpair whose value is below n/4 (possible when the constant
+    vector is nearly orthogonal to the dominant eigenvector), the iteration
+    restarts once from a fixed-seed random vector; spiked matrices have
+    their dominant eigenvalue of order n/2, far above that floor.
 
     ``dspmv`` (``lower=1``) reads the matrix's
     :meth:`~SymmetricMatrix.lower_packed` buffer: a rank matrix hands over
@@ -86,33 +83,24 @@ def leading_eigenpair(
     Raises
     ------
     ConvergenceError
-        ``max_iter`` matrix-vector products without convergence, which
-        signals a near-degenerate leading pair.
+        10,000 matrix-vector products without convergence, which signals
+        a near-degenerate leading pair.
     """
     n = matrix.n
-    if start is None:
-        v = np.full(n, 1.0 / math.sqrt(n))
-    else:
-        v = np.array(start, dtype=np.float64)
-        if v.shape != (n,):
-            raise ValueError(f"start vector must have shape ({n},)")
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            raise ValueError("start vector must be nonzero")
-        v /= norm
+    v = np.full(n, 1.0 / math.sqrt(n))
     ap = matrix.lower_packed()
     # ||M||_F^2 is twice the sum of squares of the off-diagonal buffer entries.
     resid_floor = math.sqrt(2.0 * float(ap @ ap)) / math.sqrt(n)
     lam_prev = math.inf
     streak = 0
     restarted = False
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _MAX_ITER + 1):
         w = dspmv(n, 1.0, ap, v, lower=1)
         lam = float(v @ w)
         residual = float(np.linalg.norm(w - lam * v))
-        streak = streak + 1 if abs(lam - lam_prev) <= tol * abs(lam) else 0
+        streak = streak + 1 if abs(lam - lam_prev) <= _TOL * abs(lam) else 0
         lam_prev = lam
-        converged = streak >= 2 and residual <= tol * (abs(lam) + resid_floor)
+        converged = streak >= 2 and residual <= _TOL * (abs(lam) + resid_floor)
         if converged and (lam >= n / 4.0 or restarted):
             return EigenPair(
                 value=lam,
@@ -139,31 +127,29 @@ def leading_eigenpair(
             continue
         v = w / wnorm
     raise ConvergenceError(
-        f"no convergence in {max_iter} iterations (tol={tol}); "
+        f"no convergence in {_MAX_ITER} iterations (tol={_TOL}); "
         f"leading eigenvalues may be nearly degenerate"
     )
 
 
-def full_spectrum(matrix: SymmetricMatrix, max_n: int = FULL_SPECTRUM_CAP) -> np.ndarray:
+def full_spectrum(matrix: SymmetricMatrix) -> np.ndarray:
     """All eigenvalues, descending, via LAPACK ``dsyev``.
 
     The packed values are expanded to a dense array (the packed-storage
-    LAPACK drivers are not exposed by scipy). Dimensions above ``max_n``
-    are refused to keep memory and run time predictable.
+    LAPACK drivers are not exposed by scipy). Dimensions above
+    ``FULL_SPECTRUM_CAP`` (4000) are refused to keep memory and run time
+    predictable.
 
     Raises
     ------
     ValueError
-        ``matrix.n > max_n``.
+        ``matrix.n > FULL_SPECTRUM_CAP``.
     ConvergenceError
         The QL sweep cap inside ``dsyev`` was exhausted, or the eigenvalue
         sum drifted away from the (zero) trace.
     """
-    if matrix.n > max_n:
-        raise ValueError(
-            f"n={matrix.n} exceeds the dense-solver cap {max_n}; "
-            f"raise max_n explicitly if you accept the cost"
-        )
+    if matrix.n > FULL_SPECTRUM_CAP:
+        raise ValueError(f"n={matrix.n} exceeds the dense-solver cap {FULL_SPECTRUM_CAP}")
     try:
         eigs = eigh(
             matrix.dense(),
@@ -217,11 +203,19 @@ def esd_from_eigenvalues(scaled_eigenvalues: np.ndarray, bins: int = 80) -> ESDS
     eigs = np.asarray(scaled_eigenvalues, dtype=np.float64)
     n = eigs.shape[0]
     counts, edges = np.histogram(np.clip(eigs, -2.5, 2.5), bins=bins, range=(-2.5, 2.5))
-    ordered = np.sort(eigs)
-    cdf = semicircle_cdf(ordered)
-    grid = np.arange(n, dtype=np.float64)
-    ks = max(float(np.max(cdf - grid / n)), float(np.max((grid + 1.0) / n - cdf)))
+    ks = ks_distance(semicircle_cdf(np.sort(eigs)))
     return ESDSummary(bin_edges=edges, masses=counts / n, ks_to_semicircle=ks)
+
+
+def ks_distance(cdf_at_sorted: np.ndarray) -> float:
+    """Kolmogorov-Smirnov distance between a sample and a continuous law.
+
+    ``cdf_at_sorted`` is the law's CDF at the sample sorted ascending.
+    """
+    cdf = np.asarray(cdf_at_sorted, dtype=np.float64)
+    n = cdf.shape[0]
+    grid = np.arange(n, dtype=np.float64)
+    return max(float(np.max(cdf - grid / n)), float(np.max((grid + 1.0) / n - cdf)))
 
 
 def subspace_distance_sq(u: np.ndarray, v: np.ndarray) -> float:

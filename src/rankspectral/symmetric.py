@@ -172,10 +172,10 @@ class SymmetricMatrix:
         return self.n * (self.n - 1) // 2
 
     @staticmethod
-    def from_dense(array: np.ndarray, rtol: float = _SYMMETRY_RTOL) -> "SymmetricMatrix":
+    def from_dense(array: np.ndarray) -> "SymmetricMatrix":
         """Build from a dense square array.
 
-        The array must be symmetric within ``|A_ij - A_ji| <= rtol *
+        The array must be symmetric within ``|A_ij - A_ji| <= 1e-9 *
         max(1, |A_ij|)`` entrywise; the two triangles are averaged and the
         diagonal is discarded.
 
@@ -191,25 +191,15 @@ class SymmetricMatrix:
         if n < 2:
             raise FormatError(f"dimension must be >= 2, got n={n}")
         values = np.empty(n * (n - 1) // 2)
-        if not _merge_rows(values, arr, 0, rtol):
+        if not _merge_rows(values, arr, 0):
             gap = np.abs(arr - arr.T)
-            bound = rtol * np.maximum(1.0, np.abs(arr))
+            bound = _SYMMETRY_RTOL * np.maximum(1.0, np.abs(arr))
             i, j = np.unravel_index(int(np.argmax(gap - bound)), arr.shape)
             raise AsymmetryError(
                 f"entries ({i},{j}) and ({j},{i}) differ by {gap[i, j]:.3e}, "
                 f"beyond tolerance {bound[i, j]:.3e}"
             )
         return SymmetricMatrix.adopt(n, values)
-
-    def entry(self, i: int, j: int) -> float:
-        """Entry (i, j); zero on the diagonal."""
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise ValueError(f"indices out of range for n={self.n}: ({i}, {j})")
-        if i == j:
-            return 0.0
-        if i > j:
-            i, j = j, i
-        return float(self.values[pack_index(i, j, self.n)])
 
     def dense(self) -> np.ndarray:
         """Materialize the full n x n array, a row of the upper triangle at a time."""
@@ -231,7 +221,7 @@ class SymmetricMatrix:
         return f"SymmetricMatrix(n={self.n})"
 
 
-def _merge_rows(values: np.ndarray, rows: np.ndarray, first: int, rtol: float) -> bool:
+def _merge_rows(values: np.ndarray, rows: np.ndarray, first: int) -> bool:
     """Fold rows ``first``, ``first + 1``, ... of a dense n x n array into ``values``.
 
     Row g's upper part fills its packed segment. Its lower part meets the
@@ -240,8 +230,8 @@ def _merge_rows(values: np.ndarray, rows: np.ndarray, first: int, rtol: float) -
     entry itself when the two are equal, so saving and reloading is
     bit-exact, else their mean, halved before adding to avoid overflow.
     Returns False, with ``values`` part written,
-    at the first row holding a pair farther apart than ``rtol * max(1,
-    |entry|)`` for either of its two entries.
+    at the first row holding a pair farther apart than ``_SYMMETRY_RTOL *
+    max(1, |entry|)`` for either of its two entries.
     """
     n = rows.shape[1]
     offsets = row_offsets(n)
@@ -254,8 +244,8 @@ def _merge_rows(values: np.ndarray, rows: np.ndarray, first: int, rtol: float) -
         if np.array_equal(upper, lower):
             continue
         gap = np.abs(upper - lower)
-        if np.any(gap > rtol * np.maximum(1.0, np.abs(upper))) or np.any(
-            gap > rtol * np.maximum(1.0, np.abs(lower))
+        if np.any(gap > _SYMMETRY_RTOL * np.maximum(1.0, np.abs(upper))) or np.any(
+            gap > _SYMMETRY_RTOL * np.maximum(1.0, np.abs(lower))
         ):
             return False
         values[at] = np.where(upper == lower, upper, 0.5 * upper + 0.5 * lower)
@@ -445,7 +435,7 @@ def _fast_dense(fh: IO[bytes]) -> SymmetricMatrix:
         # rejects an overflowing token such as 1e400.
         if not np.isfinite(rows).all():
             raise FormatError("non-finite value")
-        if not _merge_rows(values, rows, filled, _SYMMETRY_RTOL):
+        if not _merge_rows(values, rows, filled):
             raise FormatError("asymmetric")
         filled += rows.shape[0]
     if values is None or filled != n:

@@ -219,9 +219,10 @@ class TestSampleTwoBlock:
         # Disjoint supports let us verify every entry's block membership.
         m, assign = sample_two_block(40, "uniform(0, 1)", "uniform(10, 11)", seed=7)
         labels = assign.labels
+        dense = m.dense()
         for i in range(40):
             for j in range(i + 1, 40):
-                v = m.entry(i, j)
+                v = dense[i, j]
                 if labels[i] == labels[j]:
                     assert v < 1.0
                 else:
@@ -250,16 +251,18 @@ class TestSampleTwoBlock:
 class TestSamplePlantedSubmatrix:
     def test_planted_size(self):
         _, assign = sample_planted_submatrix(50, 12, "normal(2,1)", "normal(1,1)", seed=0)
-        assert assign.n1 == 12
-        assert assign.indices.shape == (12,)
-        assert np.all(assign.labels[assign.indices] == 1)
+        indices = np.flatnonzero(assign.labels)
+        assert np.count_nonzero(assign.labels) == 12
+        assert indices.shape == (12,)
+        assert np.all(assign.labels[indices] == 1)
 
     def test_block_structure(self):
         m, assign = sample_planted_submatrix(30, 8, "uniform(10, 11)", "uniform(0, 1)", seed=3)
-        inside = set(assign.indices.tolist())
+        inside = set(np.flatnonzero(assign.labels).tolist())
+        dense = m.dense()
         for i in range(30):
             for j in range(i + 1, 30):
-                v = m.entry(i, j)
+                v = dense[i, j]
                 if i in inside and j in inside:
                     assert v > 10.0
                 else:

@@ -1,6 +1,8 @@
 """Rules that hold across the modules of the package."""
 
 import ast
+import inspect
+import math
 from pathlib import Path
 
 import pytest
@@ -117,12 +119,104 @@ def used_names(paths):
     return names
 
 
+def caller_paths():
+    """The sources outside ``tests/`` that use the package: its modules, demos, tools, benchmark."""
+    paths = [path for path in PACKAGE_DIR.glob("*.py") if path.name != "__init__.py"]
+    for folder in ("demos", "tools", "perfbench"):
+        paths += sorted((ROOT / folder).rglob("*.py"))
+    return paths
+
+
 def test_every_export_has_a_caller_outside_tests():
     import rankspectral
 
-    callers = [path for path in PACKAGE_DIR.glob("*.py") if path.name != "__init__.py"]
-    for folder in ("demos", "tools", "perfbench"):
-        callers += sorted((ROOT / folder).rglob("*.py"))
-    used = used_names(callers)
+    used = used_names(caller_paths())
     unused = set(rankspectral.__all__) - used - EXPORTS_WITHOUT_CALLER
     assert sorted(unused) == []
+
+
+def exported_classes():
+    import rankspectral
+
+    objects = (getattr(rankspectral, name) for name in rankspectral.__all__)
+    return [obj for obj in objects if inspect.isclass(obj)]
+
+
+def passed_arguments(paths):
+    """name -> (most positional arguments, keyword names) over the calls of ``name``.
+
+    A call names its callee by the last part of its dotted name. A ``*args``
+    counts as every position, a ``**kwargs`` as every keyword.
+    """
+    passed = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            positions = math.inf if starred else len(node.args)
+            keywords = {kw.arg for kw in node.keywords}
+            most, names = passed.get(name, (0, set()))
+            passed[name] = (max(most, positions), names | keywords)
+    return passed
+
+
+def options(function, bound):
+    """(position, name) of each defaulted parameter; a bound method's first one is not counted."""
+    params = list(inspect.signature(function).parameters.values())[1 if bound else 0 :]
+    return [
+        (position, param.name)
+        for position, param in enumerate(params)
+        if param.default is not inspect.Parameter.empty
+    ]
+
+
+def test_every_option_has_a_caller_outside_tests():
+    """Every defaulted parameter of an export, or of a public method of an exported class,
+    is passed, by position or by keyword, somewhere outside ``tests/``.
+
+    Callers are matched by name only, so a call of another function of the
+    same name counts too.
+    """
+    import rankspectral
+
+    targets = []
+    for name in sorted(set(rankspectral.__all__) - EXPORTS_WITHOUT_CALLER):
+        obj = getattr(rankspectral, name)
+        if inspect.isfunction(obj):
+            targets.append((name, obj.__name__, obj, False))
+    for cls in exported_classes():
+        for attr, member in vars(cls).items():
+            if attr.startswith("_") or not callable(getattr(cls, attr)):
+                continue
+            bound = not isinstance(member, (staticmethod, classmethod))
+            targets.append((f"{cls.__name__}.{attr}", attr, getattr(cls, attr), bound))
+    passed = passed_arguments(caller_paths())
+    unpassed = []
+    for label, callee, function, bound in targets:
+        most, keywords = passed.get(callee, (0, set()))
+        for position, option in options(function, bound):
+            if position >= most and option not in keywords and None not in keywords:
+                unpassed.append(f"{label}({option})")
+    assert unpassed == []
+
+
+def test_every_public_member_has_a_caller_outside_tests():
+    """Every public member an exported class defines is read somewhere outside ``tests/``.
+
+    Members are the methods, properties and class attributes in the class
+    body, dataclass fields aside. Readers are matched by name only, so a
+    read of another object's member of the same name counts too.
+    """
+    used = used_names(caller_paths())
+    unread = []
+    for cls in exported_classes():
+        fields = getattr(cls, "__dataclass_fields__", {})
+        for attr in vars(cls):
+            if not attr.startswith("_") and attr not in fields and attr not in used:
+                unread.append(f"{cls.__name__}.{attr}")
+    assert sorted(unread) == []

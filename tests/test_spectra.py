@@ -1,6 +1,7 @@
 """Eigensolvers, semicircle summaries, subspace distance."""
 
 import math
+import re
 import subprocess
 import sys
 import types
@@ -68,7 +69,7 @@ class TestLeadingEigenpair:
     def test_residual_contract(self):
         for seed in range(5):
             m = rank_values_matrix(30, seed)
-            pair = leading_eigenpair(m, tol=1e-12)
+            pair = leading_eigenpair(m)
             fro = math.sqrt(2 * float(m.values @ m.values))
             assert pair.residual <= 1e-12 * (abs(pair.value) + fro / math.sqrt(30))
 
@@ -82,26 +83,24 @@ class TestLeadingEigenpair:
         assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
 
     def test_restart_escapes_orthogonal_start(self):
-        # Start orthogonal to the all-ones dominant eigenvector: the power
-        # iteration first converges on the -1/2 eigenspace, then the single
-        # restart must recover (n-1)/2 = 2.5.
-        m = expectation_matrix(6)
-        start = np.zeros(6)
-        start[0], start[1] = 1.0, -1.0
-        pair = leading_eigenpair(m, start=start)
-        assert pair.value == pytest.approx(2.5, abs=1e-12)
-
-    def test_start_vector_validation(self):
-        m = expectation_matrix(4)
-        with pytest.raises(ValueError, match="shape"):
-            leading_eigenpair(m, start=np.ones(5))
-        with pytest.raises(ValueError, match="nonzero"):
-            leading_eigenpair(m, start=np.zeros(4))
+        # +1 within two blocks of 3, -1 between them: the constant start
+        # vector is an eigenvector for -1, orthogonal to the dominant one,
+        # (1, 1, 1, -1, -1, -1) for 5. The iteration settles on -1 at once,
+        # and the single restart must recover 5.
+        labels = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+        m = SymmetricMatrix.from_dense(np.outer(labels, labels))
+        pair = leading_eigenpair(m)
+        assert pair.value == pytest.approx(5.0, abs=1e-12)
+        assert np.allclose(pair.vector, labels / math.sqrt(6), atol=1e-12)
 
     def test_iteration_cap(self):
-        m = rank_values_matrix(40, 7)
-        with pytest.raises(ConvergenceError, match="no convergence"):
-            leading_eigenpair(m, max_iter=2)
+        # The path graph 0 - 1 - 2 has eigenvalues +-sqrt(2) and 0. The
+        # constant vector meets both extreme eigenvectors, so the iterate
+        # alternates between two directions and never converges.
+        m = SymmetricMatrix(3, [1.0, 0.0, 1.0])
+        message = "no convergence in 10000 iterations (tol=1e-12); "
+        with pytest.raises(ConvergenceError, match=f"^{re.escape(message)}"):
+            leading_eigenpair(m)
 
     def test_returns_frozen_pair(self):
         pair = leading_eigenpair(expectation_matrix(4))
@@ -221,11 +220,11 @@ class TestFullSpectrum:
         eigs = full_spectrum(rank_values_matrix(50, 2))
         assert abs(eigs.sum()) < 1e-10
 
-    def test_dimension_cap(self):
-        m = random_symmetric(6, seed=0)
-        with pytest.raises(ValueError, match="cap"):
-            full_spectrum(m, max_n=5)
-        assert full_spectrum(m, max_n=6).shape == (6,)
+    def test_dimension_cap(self, monkeypatch):
+        monkeypatch.setattr(spectra, "FULL_SPECTRUM_CAP", 5)
+        with pytest.raises(ValueError, match="^n=6 exceeds the dense-solver cap 5$"):
+            full_spectrum(random_symmetric(6, seed=0))
+        assert full_spectrum(random_symmetric(5, seed=0)).shape == (5,)
 
     def test_agrees_with_power_iteration(self):
         m = rank_values_matrix(60, 9)

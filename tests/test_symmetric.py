@@ -137,11 +137,12 @@ class TestSymmetricMatrix:
         m = SymmetricMatrix(3, [5.0, 1.0, 3.0])
         assert m.n == 3
         assert m.n_pairs == 3
-        assert m.entry(0, 1) == 5.0
-        assert m.entry(1, 0) == 5.0
-        assert m.entry(0, 2) == 1.0
-        assert m.entry(1, 2) == 3.0
-        assert m.entry(2, 2) == 0.0
+        d = m.dense()
+        assert d[0, 1] == 5.0
+        assert d[1, 0] == 5.0
+        assert d[0, 2] == 1.0
+        assert d[1, 2] == 3.0
+        assert d[2, 2] == 0.0
 
     def test_dense_round_trip(self):
         m = random_symmetric(9, seed=7, low=-4.0, high=4.0)
@@ -191,11 +192,6 @@ class TestSymmetricMatrix:
         with pytest.raises(ValueError):
             SymmetricMatrix(1, [])
 
-    def test_entry_out_of_range(self):
-        m = SymmetricMatrix(3, [1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            m.entry(0, 3)
-
     def test_from_dense_discards_diagonal(self):
         arr = np.array([[7.0, 5.0, 1.0], [5.0, -2.0, 3.0], [1.0, 3.0, 4.0]])
         m = SymmetricMatrix.from_dense(arr)
@@ -220,13 +216,14 @@ class TestSymmetricMatrix:
     @pytest.mark.parametrize(
         "upper, lower, pair", [(1.105, 1.0, "(1,0) and (0,1)"), (1.0, 1.105, "(0,1) and (1,0)")]
     )
-    def test_from_dense_bounds_the_gap_by_either_entry(self, upper, lower, pair):
+    def test_from_dense_bounds_the_gap_by_either_entry(self, upper, lower, pair, monkeypatch):
         # The gap 0.105 is within 0.1 * 1.105 but not within 0.1 * 1.0:
         # the pair is asymmetric whichever triangle holds the smaller entry.
+        monkeypatch.setattr(symmetric, "_SYMMETRY_RTOL", 0.1)
         arr = np.array([[0.0, upper, 4.0], [lower, 0.0, 2.0], [4.0, 2.0, 0.0]])
         message = f"entries {pair} differ by 1.050e-01, beyond tolerance 1.000e-01"
         with pytest.raises(AsymmetryError, match=f"^{re.escape(message)}$"):
-            SymmetricMatrix.from_dense(arr, rtol=0.1)
+            SymmetricMatrix.from_dense(arr)
 
     def test_from_dense_rejects_non_square(self):
         with pytest.raises(FormatError):
