@@ -176,9 +176,9 @@ def options(function, bound):
 
 
 def test_every_option_has_a_caller_outside_tests():
-    """Every defaulted parameter of an export, or of a public method of an exported class,
-    is passed, by position or by keyword, somewhere outside ``tests/``.
+    """Every option of an export, or of an exported class's public method, is passed outside tests.
 
+    An option is a defaulted parameter, passed by position or by keyword.
     Callers are matched by name only, so a call of another function of the
     same name counts too.
     """
