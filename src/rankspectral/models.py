@@ -4,8 +4,9 @@ Distributions are small frozen dataclasses with a ``sample`` method; the
 text form ``family(param, param)``, read by :func:`parse_distribution`, is
 what the CLI and experiment configs carry.
 
-Models fill the strict upper triangle in pack order from per-seed Philox
-streams, so every sampler is a pure function of its arguments.
+Models draw the strict upper triangle row by row into the lower-packed
+buffer from per-seed Philox streams, so every sampler is a pure function of
+its arguments.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .rng import make_generator
-from .symmetric import SymmetricMatrix
+from .symmetric import SymmetricMatrix, lower_rows, spread_rows
 
 _BLOCK = 1 << 16  # entries per block of the in-place float conversion
 
@@ -195,7 +196,7 @@ def sample_homogeneous(
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got n={n}")
     rng = make_generator(seed)
-    return SymmetricMatrix.adopt(n, dist.sample(n * (n - 1) // 2, rng))
+    return SymmetricMatrix.adopt(n, _draw_rows(np.empty(n * (n + 1) // 2), n, dist, rng))
 
 
 def sample_two_block(
@@ -219,13 +220,13 @@ def sample_two_block(
     labels = np.concatenate([np.ones(n // 2, dtype=np.int64), -np.ones(n - n // 2, dtype=np.int64)])
     labels = rng.permutation(labels)
     # Two parallel draws keep the stream layout independent of the labels.
-    vals = within.sample(n * (n - 1) // 2, rng)
+    blas = _draw_rows(np.empty(n * (n + 1) // 2), n, within, rng)
     # Row i's entries come from ``between`` where labels[j] != labels[i].
     positive = labels > 0
     negative = ~positive
-    _redraw_rows(vals, n, between, rng, lambda i: (negative if positive[i] else positive)[i + 1 :])
+    _draw_rows(blas, n, between, rng, lambda i: (negative if positive[i] else positive)[i + 1 :])
     labels.flags.writeable = False
-    return SymmetricMatrix.adopt(n, vals), TwoBlockAssignment(labels)
+    return SymmetricMatrix.adopt(n, blas), TwoBlockAssignment(labels)
 
 
 def sample_planted_submatrix(
@@ -250,28 +251,29 @@ def sample_planted_submatrix(
     labels = np.zeros(n, dtype=np.int64)
     labels[:n1] = 1
     labels = rng.permutation(labels)
-    vals = inside.sample(n * (n - 1) // 2, rng)
+    blas = _draw_rows(np.empty(n * (n + 1) // 2), n, inside, rng)
     # Row i's entries come from ``background`` unless both ends are planted.
     outside = labels == 0
-    _redraw_rows(vals, n, background, rng, lambda i: True if outside[i] else outside[i + 1 :])
+    _draw_rows(blas, n, background, rng, lambda i: True if outside[i] else outside[i + 1 :])
     labels.flags.writeable = False
-    return SymmetricMatrix.adopt(n, vals), PlantedAssignment(labels)
+    return SymmetricMatrix.adopt(n, blas), PlantedAssignment(labels)
 
 
-def _redraw_rows(
-    vals: np.ndarray, n: int, dist: EntryDistribution, rng: np.random.Generator, mask
-) -> None:
-    """Overwrite ``vals`` with a second full draw from ``dist`` where ``mask(i)`` holds.
+def _draw_rows(
+    blas: np.ndarray, n: int, dist: EntryDistribution, rng: np.random.Generator, mask=None
+) -> np.ndarray:
+    """Draw from ``dist`` into the rows of the lower-packed ``blas`` where ``mask(i)`` holds.
 
     The draw is taken row by row, which consumes the stream exactly as one
-    call for all n(n-1)/2 entries would, so no second length-N array is
-    built. ``mask(i)`` is row i's mask over columns i+1..n-1, or True.
+    call for all n(n-1)/2 entries would, so no array of that length is
+    built. ``mask(i)``, if given, is row i's mask over columns i+1..n-1, or
+    True. The diagonal slots are set to +0.0.
     """
-    start = 0
-    for i in range(n - 1):
-        stop = start + n - 1 - i
-        np.copyto(vals[start:stop], dist.sample(stop - start, rng), where=mask(i))
-        start = stop
+    for i, (_, slots) in enumerate(lower_rows(n)):
+        row = dist.sample(slots.stop - slots.start, rng)
+        np.copyto(blas[slots], row, where=True if mask is None else mask(i))
+        blas[slots.start - 1] = 0.0
+    return blas
 
 
 def sample_interpolated_rank(n: int, k: float, seed: int) -> SymmetricMatrix:
@@ -286,26 +288,28 @@ def sample_interpolated_rank(n: int, k: float, seed: int) -> SymmetricMatrix:
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got n={n}")
     n_pairs = n * (n - 1) // 2
+    n_slots = n * (n + 1) // 2
     rng = make_generator(seed)
     if math.isinf(k):
         if k < 0:
             raise ValueError("k must be >= 0")
-        return SymmetricMatrix.adopt(n, rng.random(n_pairs))
+        # Uniform(0, 1) draws the bits of rng.random: 0.0 + 1.0 * u is u.
+        return SymmetricMatrix.adopt(n, _draw_rows(np.empty(n_slots), n, Uniform(0.0, 1.0), rng))
     kk = int(k)
     if kk != k or kk < 0:
         raise ValueError(f"k must be a nonnegative integer or math.inf, got {k!r}")
     if kk > 10 * n_pairs:
         raise ValueError(f"k={kk} exceeds the 10*N guard ({10 * n_pairs}) for n={n}")
-    # The first N draws become floats in their own slots, a block at a time,
-    # and the buffer is cut to N: the call peaks at the permutation, 8(N + k)
-    # bytes, instead of holding the N floats beside it.
-    perm = rng.permutation(n_pairs + kk)
-    vals = perm.view(np.float64)
-    for lo in range(0, n_pairs, _BLOCK):
-        hi = min(lo + _BLOCK, n_pairs)
-        vals[lo:hi] = perm[lo:hi] + 1.0
-    del vals
-    perm.resize(n_pairs, refcheck=False)
-    vals = perm.view(np.float64)
-    vals /= n_pairs + kk + 1
-    return SymmetricMatrix.adopt(n, vals)
+    # The permutation is drawn behind n spare slots (a shuffle of arange(N + k)
+    # in place has the bits of rng.permutation(N + k)); its first N draws
+    # become floats in their own slots, a block at a time, so the call peaks
+    # at 8(n + N + k) bytes instead of holding the N floats beside it.
+    buffer = np.arange(-n, n_pairs + kk)
+    rng.shuffle(buffer[n:])
+    floats = buffer.view(np.float64)
+    for lo in range(n, n_slots, _BLOCK):
+        hi = min(lo + _BLOCK, n_slots)
+        floats[lo:hi] = (buffer[lo:hi] + 1.0) / (n_pairs + kk + 1)
+    del floats
+    buffer.resize(n_slots, refcheck=False)
+    return SymmetricMatrix.adopt(n, spread_rows(buffer.view(np.float64), n))

@@ -14,7 +14,6 @@ explicit seeded policy breaks them uniformly at random.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .rng import make_generator
-from .symmetric import SymmetricMatrix, diagonal_slots, lower_rows, lower_slots, row_major_index
+from .symmetric import SymmetricMatrix, diagonal_slots, row_major_index
 
 
 class TieError(ValueError):
@@ -61,32 +60,10 @@ class TiePolicy:
 class RankMatrix(SymmetricMatrix):
     """A symmetric matrix whose entries are normalized ranks k/(N+1), k = 1..N.
 
-    A rank matrix comes from :func:`rank_transform`. It holds ``blas``, its
-    ranks in the lower-packed layout (see :mod:`rankspectral.symmetric`),
-    read-only, and hands it to the eigensolver with no pack step. Its
-    row-major ``values``, the buffer less its n diagonal slots, are copied
-    out row by row on first access, then cached and read-only.
+    A rank matrix comes from :func:`rank_transform`, which writes each rank
+    straight into its slot of ``blas``; it is stored and read as any
+    :class:`SymmetricMatrix` is.
     """
-
-    def __init__(self, n: int, blas: np.ndarray) -> None:
-        blas.flags.writeable = False
-        self.n = n
-        self.blas = blas
-
-    def lower_packed(self) -> np.ndarray:
-        """``blas`` itself, read-only: no copy and no pack step."""
-        return self.blas
-
-    @functools.cached_property
-    def values(self) -> np.ndarray:
-        values = np.empty(self.n_pairs)
-        for row, slots in lower_rows(self.n):
-            values[row] = self.blas[slots]
-        values.flags.writeable = False
-        return values
-
-    def __repr__(self) -> str:
-        return f"RankMatrix(n={self.n})"
 
 
 # Entries per block of the key build, the run scan and the rank fill:
@@ -114,8 +91,8 @@ def rank_transform(matrix: SymmetricMatrix, policy: TiePolicy | None = None) -> 
     Returns
     -------
     RankMatrix
-        Matrix with entry rank/(N+1) in place of each data entry, held in
-        the lower-packed layout :class:`RankMatrix` describes. Strictly monotone
+        Matrix with entry rank/(N+1) in place of each data entry, written
+        straight into its lower-packed ``blas``. Strictly monotone
         transforms of the data give bit-identical output, and relabeling
         nodes commutes with the transform.
 
@@ -133,12 +110,12 @@ def rank_transform(matrix: SymmetricMatrix, policy: TiePolicy | None = None) -> 
     One int64 buffer of n(n+1)/2 entries serves in turn as the sort keys,
     the rank order and the returned ranks. The sort order comes from one
     ``np.sort`` of int64 keys instead of an ``np.argsort`` of the values,
-    which costs several times more. Each value maps to a signed-magnitude
-    key that orders exactly as the values do, with -0.0 and 0.0 equal; the
-    low ceil(log2(n(n+1)/2)) bits of the key are then replaced by the
-    entry's slot in the lower-packed buffer, its row-major position plus
-    its row plus one. After the sort, keys that differ in their remaining
-    high bits are in exact value order. Entries whose high bits collide
+    which costs several times more. Each slot of the matrix's ``blas`` maps
+    to a signed-magnitude key that orders exactly as the values do, with
+    -0.0 and 0.0 equal, and whose low ceil(log2(n(n+1)/2)) bits are then
+    replaced by the slot; the n diagonal keys are pinned below every value's
+    key, so they sort first. After the sort, keys that differ in their
+    remaining high bits are in exact value order. Entries whose high bits collide
     (some 10^4 of the 8M at n = 4000, and every exact tie) form runs that
     are re-sorted exactly by value, so the keys end in the order a full
     sort gives. The runs are found and re-sorted a block at a time, a
@@ -150,17 +127,17 @@ def rank_transform(matrix: SymmetricMatrix, policy: TiePolicy | None = None) -> 
     argsort of int64 keys, value group * N + random position.
 
     Each key is then rewritten as slot << b | rank, b the bit length of N,
-    and the n diagonal slots join the keys with rank 0. A second sort puts
+    with rank 0 for the n diagonal keys. A second sort puts
     every key at its own slot, and the low bits, written over the keys as
     rank/(N+1), are the returned ranks (0.0 on the diagonal). Slot and rank
     fit together in 63 bits for every n up to 65,536, the largest n a call
     accepts.
 
     Memory: on continuous data a call holds the buffer and temporaries of
-    block size (1.10 x 8N at n = 2000), so a replicate holds about 16N
+    block size (1.07 x 8N at n = 2000), so a replicate holds about 16N
     bytes counting the caller's sample. When every entry is tied it also
     holds the random positions, as int32, and one batch of runs
-    (1.84 x 8N at n = 2000).
+    (1.82 x 8N at n = 2000).
     """
     n = matrix.n
     n_slots = n * (n + 1) // 2
@@ -171,22 +148,21 @@ def rank_transform(matrix: SymmetricMatrix, policy: TiePolicy | None = None) -> 
         )
     if policy is None:
         policy = TiePolicy.error()
-    a = matrix.values
-    n_pairs = a.shape[0]
+    n_pairs = n_slots - n
     bits = (n_slots - 1).bit_length()
     rank_bits = n_pairs.bit_length()
     buffer = np.empty(n_slots, dtype=np.int64)
-    keys = buffer[:n_pairs]
-    _sort_keys(a, n, bits, keys)
-    _sort_runs(a, n, keys, bits, policy)
+    _sort_keys(matrix.blas, n, bits, buffer)
+    keys = buffer[n:]  # the value keys, after the n diagonal keys
+    _sort_runs(matrix, keys, bits, policy)
     low = (1 << bits) - 1
     for lo in range(0, n_pairs, _BLOCK):
         block = keys[lo : lo + _BLOCK]
         block &= low
         block <<= rank_bits
         block |= np.arange(lo + 1, lo + block.shape[0] + 1)
-    # The diagonal slots join with rank 0, so the sort puts every key at its slot.
-    np.left_shift(diagonal_slots(n), rank_bits, out=buffer[n_pairs:])
+    # The diagonal keys take rank 0, so the sort puts every key at its slot.
+    np.left_shift(diagonal_slots(n), rank_bits, out=buffer[:n])
     buffer.sort()
     ranks = buffer.view(np.float64)
     rank = np.empty(min(_BLOCK, n_slots), dtype=np.int64)
@@ -194,29 +170,29 @@ def rank_transform(matrix: SymmetricMatrix, policy: TiePolicy | None = None) -> 
         block = rank[: min(_BLOCK, n_slots - lo)]
         np.bitwise_and(buffer[lo : lo + _BLOCK], (1 << rank_bits) - 1, out=block)
         np.divide(block, n_pairs + 1, out=ranks[lo : lo + block.shape[0]])
-    return RankMatrix(n, ranks)
+    return RankMatrix.adopt(n, ranks)
 
 
 def _sort_keys(a: np.ndarray, n: int, bits: int, keys: np.ndarray) -> None:
-    """Fill ``keys`` with sorted int64 keys: each value's order key, low ``bits`` bits its slot.
+    """Fill ``keys`` with the sorted int64 keys of the slots of ``a``, a lower-packed buffer.
 
-    The slots are written by :func:`rankspectral.symmetric.lower_slots`,
-    then the high bits are or-ed in per block. The key of a float64 is its
-    magnitude bits, negated for a negative sign; this orders keys exactly as
-    the values and maps -0.0 to 0 as well.
+    The key of a float64 is its magnitude bits, negated for a negative sign,
+    which orders keys as the values and maps -0.0 to 0; its low ``bits`` bits
+    are replaced by the slot. The n diagonal keys are the int64 minimum plus
+    their slot, below every value's key, so they sort first, in slot order.
     """
     raw = a.view(np.int64)
-    lower_slots(n, keys)
-    high = np.empty(min(_BLOCK, a.shape[0]), dtype=np.int64)
     for lo in range(0, a.shape[0], _BLOCK):
         hi = min(lo + _BLOCK, a.shape[0])
-        block = high[: hi - lo]
+        block = keys[lo:hi]
         sign = raw[lo:hi] >> 63  # -1 for a set sign bit, else 0
         np.bitwise_and(raw[lo:hi], _MAGNITUDE, out=block)
         block ^= sign
         block -= sign
         block &= -(1 << bits)
-        keys[lo:hi] |= block
+        block |= np.arange(lo, hi)
+    diagonal = diagonal_slots(n)
+    keys[diagonal] = diagonal + np.iinfo(np.int64).min
     keys.sort()
 
 
@@ -225,21 +201,21 @@ class _Ties:
     """A tie policy, and the ties the run scan has met under it so far."""
 
     policy: TiePolicy
-    n_pairs: int
+    n: int
     count: int = 0  # tied entries, under the error policy
     value: float | None = None  # the first tied value in sorted order
     shuffle: np.ndarray | None = None  # the random positions, drawn at the first tie
 
 
-def _sort_runs(a: np.ndarray, n: int, keys: np.ndarray, bits: int, policy: TiePolicy) -> None:
-    """Put each run of sorted keys that share their high bits in exact value order.
+def _sort_runs(matrix: SymmetricMatrix, keys: np.ndarray, bits: int, policy: TiePolicy) -> None:
+    """Put each run of sorted value keys that share their high bits in exact value order.
 
     The runs of consecutive blocks (:func:`_run_positions`) are re-sorted
     together, in batches of up to _BLOCK entries or one block's runs, so
     the temporaries stay of block size and sparse runs take few calls.
     Raises TieError after the scan if the ``error`` policy met a tie.
     """
-    ties = _Ties(policy, keys.shape[0])
+    ties = _Ties(policy, matrix.n)
     low = (1 << bits) - 1
     batch: list[np.ndarray] = []
     size = 0
@@ -248,7 +224,7 @@ def _sort_runs(a: np.ndarray, n: int, keys: np.ndarray, bits: int, policy: TiePo
             every = np.concatenate(batch)
             batch, size = [], 0
             run = keys[every]
-            keys[every] = run[_order_runs(a, row_major_index(run & low, n), ties)]
+            keys[every] = run[_order_runs(matrix.blas, run & low, ties)]
             del every, run
         if at is not None:
             batch.append(at)
@@ -256,9 +232,10 @@ def _sort_runs(a: np.ndarray, n: int, keys: np.ndarray, bits: int, policy: TiePo
     if ties.count:
         value = ties.value
         if value == 0.0:
-            # The message names the signed zero np.argsort(a) puts first,
-            # which depends on the whole array, so only a full argsort can say.
-            value = float(a[np.argsort(a)[np.count_nonzero(a < 0.0)]])
+            # The message names the signed zero np.argsort of the row-major values
+            # (``blas`` less its diagonal) puts first: only a full argsort can say.
+            values = np.delete(matrix.blas, diagonal_slots(matrix.n))
+            value = float(values[np.argsort(values)[np.count_nonzero(values < 0.0)]])
         raise TieError(
             f"{ties.count} tied entries (e.g. value {value!r}); "
             f"pass TiePolicy.random(seed) to break ties at random"
@@ -301,7 +278,7 @@ def _run_end(keys: np.ndarray, hi: int, bits: int) -> int:
 
 
 def _order_runs(a: np.ndarray, index: np.ndarray, ties: _Ties) -> np.ndarray:
-    """Exact order of one batch's collision-run entries ``index`` (in sorted-key order).
+    """Exact order of one batch's collision-run slots ``index`` of ``a`` (in sorted-key order).
 
     Runs are disjoint value ranges in ascending order, so sorting all of
     their entries together by value keeps each run in its own positions.
@@ -323,7 +300,7 @@ def _order_runs(a: np.ndarray, index: np.ndarray, ties: _Ties) -> np.ndarray:
         return np.arange(index.shape[0])
     # Primary key: value; secondary key: random position. Uniform over
     # the orderings of each tied group. This is np.lexsort((shuffle, vals)).
-    n_pairs = ties.n_pairs
+    n_pairs = ties.n * (ties.n - 1) // 2
     if ties.shuffle is None:
         ties.shuffle = _shuffled_positions(n_pairs, ties.policy.seed)
     np.logical_not(tied, out=tied)
@@ -334,7 +311,7 @@ def _order_runs(a: np.ndarray, index: np.ndarray, ties: _Ties) -> np.ndarray:
     key = np.searchsorted(distinct, vals)
     del vals
     key *= n_pairs
-    key += ties.shuffle[index]
+    key += ties.shuffle[row_major_index(index, ties.n)]
     return np.argsort(key)
 
 
@@ -407,7 +384,7 @@ def whiten(rank_matrix: RankMatrix) -> SymmetricMatrix:
         raise TypeError("whiten expects a RankMatrix; apply rank_transform first")
     if rank_matrix.n < 3:
         raise ValueError("whitening needs n >= 3 (entry variance is 0 at n=2)")
-    m = moments(rank_matrix.n)
-    scaled = rank_matrix.values - 0.5
-    scaled /= math.sqrt(m.sigma_sq)
+    scaled = rank_matrix.blas - 0.5
+    scaled /= math.sqrt(moments(rank_matrix.n).sigma_sq)
+    scaled[diagonal_slots(rank_matrix.n)] = 0.0
     return SymmetricMatrix.adopt(rank_matrix.n, scaled)

@@ -47,7 +47,8 @@ class EigenPair:
 
 
 def _frobenius(matrix: SymmetricMatrix) -> float:
-    return math.sqrt(2.0 * float(matrix.values @ matrix.values))
+    # ||M||_F^2 is twice the sum of squares of the off-diagonal buffer entries.
+    return math.sqrt(2.0 * float(matrix.blas @ matrix.blas))
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -75,10 +76,9 @@ def leading_eigenpair(matrix: SymmetricMatrix) -> EigenPair:
     restarts once from a fixed-seed random vector; spiked matrices have
     their dominant eigenvalue of order n/2, far above that floor.
 
-    ``dspmv`` (``lower=1``) reads the matrix's
-    :meth:`~SymmetricMatrix.lower_packed` buffer: a rank matrix hands over
-    the buffer it holds, and any other matrix copies its n row slices into
-    a new one of n(n+1)/2 entries.
+    ``dspmv`` (``lower=1``) reads the lower-packed buffer
+    :attr:`~SymmetricMatrix.blas` that every matrix holds, so nothing of
+    size n(n+1)/2 is copied or allocated.
 
     Raises
     ------
@@ -88,9 +88,8 @@ def leading_eigenpair(matrix: SymmetricMatrix) -> EigenPair:
     """
     n = matrix.n
     v = np.full(n, 1.0 / math.sqrt(n))
-    ap = matrix.lower_packed()
-    # ||M||_F^2 is twice the sum of squares of the off-diagonal buffer entries.
-    resid_floor = math.sqrt(2.0 * float(ap @ ap)) / math.sqrt(n)
+    ap = matrix.blas
+    resid_floor = _frobenius(matrix) / math.sqrt(n)
     lam_prev = math.inf
     streak = 0
     restarted = False

@@ -1,22 +1,23 @@
-"""Hollow symmetric matrices in packed storage, and the layout the eigensolver reads.
+"""Hollow symmetric matrices in the one layout they are stored in, the one the eigensolver reads.
 
-An n x n symmetric matrix with zero diagonal is stored as the vector of its
-N = n(n-1)/2 strict upper-triangle entries in lexicographic (row-major) pair
-order, the same order as ``np.triu_indices(n, 1)``: entry (i, j), i < j, at
-``row_offsets(n)[i] + j``. The eigensolver reads the lower-packed layout of
-BLAS ``dspmv`` (``lower=1``): n(n+1)/2 slots, where row i is its diagonal
-zero at slot ``diagonal_slots(n)[i]`` = i n - i(i-1)/2 followed by row i's
-row-major slice, so entry (i, j), i < j, sits at its row-major position plus
-i + 1. ``dspmv`` sums the upper-packed layout (``lower=0``) in another
-order, so an eigenpair computed from that layout can differ from this
-one's in its last bits: the leading eigenvalue by a few ulp (at most 3 ulp
-in measurements up to n = 2000). This module owns the map between the row-major values and the
-lower-packed layout; no other module computes a position in either. Dense
-form is materialized only where LAPACK needs it.
+An n x n symmetric matrix with zero diagonal is stored only as ``blas``, the
+lower-packed layout of BLAS ``dspmv`` (``lower=1``): n(n+1)/2 slots, where
+row i is its diagonal +0.0 at slot ``diagonal_slots(n)[i]`` = i n - i(i-1)/2
+followed by row i's entries right of the diagonal. Row-major order is only
+the order of the N = n(n-1)/2 strict upper-triangle entries in ``values``,
+in files and in ``pack_index``, that of ``np.triu_indices(n, 1)``: entry
+(i, j), i < j, at ``row_offsets(n)[i] + j``, which is its slot less i + 1.
+``dspmv`` sums the upper-packed layout (``lower=0``) in another order, so an
+eigenpair computed from that layout can differ from this one's in its last
+bits: the leading eigenvalue by a few ulp (at most 3 ulp in measurements up
+to n = 2000). This module owns the map between row-major positions and
+slots; no other module computes either. Dense form is materialized only
+where LAPACK needs it.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -89,15 +90,6 @@ def lower_rows(n: int) -> Iterator[tuple[slice, slice]]:
         yield slice(start - i, start + n - 2 * i - 1), slice(start + 1, start + n - i)
 
 
-def lower_slots(n: int, out: np.ndarray) -> None:
-    """Write the lower-packed slot of each row-major position into ``out``, a row at a time.
-
-    ``out`` holds N int64 entries; row i's slots are one contiguous range.
-    """
-    for values, slots in lower_rows(n):
-        out[values] = np.arange(slots.start, slots.stop)
-
-
 def row_major_index(slots: np.ndarray, n: int) -> np.ndarray:
     """Row-major position of each off-diagonal lower-packed slot: the slot less i + 1 in row i.
 
@@ -113,58 +105,82 @@ def row_major_index(slots: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _checked_values(n: int, vals: np.ndarray) -> np.ndarray:
-    """``vals`` made read-only, once n, its shape and its entries are valid."""
+def spread_rows(blas: np.ndarray, n: int) -> np.ndarray:
+    """Move the row-major values held in ``blas[n:]`` to their lower-packed slots, in place.
+
+    Row i's target ends exactly where its source starts, so taking the rows
+    in order, no move overlaps itself or a row still to move. Each diagonal
+    slot gets +0.0. Returns ``blas``.
+    """
+    for row, slots in lower_rows(n):
+        blas[slots] = blas[row.start + n : row.stop + n]
+        blas[slots.start - 1] = 0.0
+    return blas
+
+
+def _check_dimension(n: int) -> None:
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got n={n}")
-    if vals.ndim != 1 or vals.shape[0] != n * (n - 1) // 2:
+
+
+def _checked_buffer(n: int, blas: np.ndarray) -> np.ndarray:
+    """``blas`` made read-only, once n, its shape and its entries are valid."""
+    _check_dimension(n)
+    if blas.ndim != 1 or blas.shape[0] != n * (n + 1) // 2:
         raise ValueError(
-            f"expected {n * (n - 1) // 2} packed values for n={n}, "
-            f"got shape {vals.shape}"
+            f"expected {n * (n + 1) // 2} lower-packed entries for n={n}, got shape {blas.shape}"
         )
-    if not np.all(np.isfinite(vals)):
+    # The minimum and maximum are nan if any entry is, and infinite if one is.
+    if not (math.isfinite(blas.min()) and math.isfinite(blas.max())):
         raise ValueError("matrix entries must be finite")
-    vals.flags.writeable = False
-    return vals
+    blas.flags.writeable = False
+    return blas
 
 
 class SymmetricMatrix:
-    """Symmetric matrix with zero diagonal, packed storage.
+    """Symmetric matrix with zero diagonal, stored only as ``blas``, its n(n+1)/2 packed slots.
 
     Parameters
     ----------
     n : int
         Dimension, >= 2.
     values : array_like
-        The n(n-1)/2 strict upper-triangle entries in pack order. Must be
-        finite. Stored as float64; the array is copied and made read-only.
+        The n(n-1)/2 strict upper-triangle entries in row-major order. Must
+        be finite. Copied into ``blas``, which is read-only.
     """
 
     def __init__(self, n: int, values: np.ndarray) -> None:
+        _check_dimension(n)
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != (n * (n - 1) // 2,):
+            raise ValueError(
+                f"expected {n * (n - 1) // 2} packed values for n={n}, got shape {values.shape}"
+            )
+        blas = np.empty(n * (n + 1) // 2)
+        blas[n:] = values
         self.n = n
-        self.values = _checked_values(n, np.array(values, dtype=np.float64))
+        self.blas = _checked_buffer(n, spread_rows(blas, n))
 
-    @staticmethod
-    def adopt(n: int, values: np.ndarray) -> "SymmetricMatrix":
-        """Wrap a float64 array that nothing else holds, without a copy.
+    @classmethod
+    def adopt(cls, n: int, blas: np.ndarray) -> "SymmetricMatrix":
+        """Wrap a lower-packed float64 buffer that nothing else holds, without a copy.
 
-        For arrays a caller has just drawn or computed: the checks are the
-        constructor's, and ``values`` itself is made read-only and stored.
+        For buffers a caller has just filled, +0.0 in each diagonal slot: the
+        checks are the constructor's, and ``blas`` itself is made read-only.
         """
-        matrix = SymmetricMatrix.__new__(SymmetricMatrix)
+        matrix = cls.__new__(cls)
         matrix.n = n
-        matrix.values = _checked_values(n, values)
+        matrix.blas = _checked_buffer(n, blas)
         return matrix
 
-    def lower_packed(self) -> np.ndarray:
-        """A new buffer of the entries in the lower-packed layout ``dspmv`` reads.
-
-        Each row is a zero, then a copy of the row's row-major slice.
-        """
-        ap = np.zeros(self.n * (self.n + 1) // 2)
-        for values, slots in lower_rows(self.n):
-            ap[slots] = self.values[values]
-        return ap
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """The N strict upper-triangle entries, row-major, copied from ``blas`` once; read-only."""
+        values = np.empty(self.n_pairs)
+        for row, slots in lower_rows(self.n):
+            values[row] = self.blas[slots]
+        values.flags.writeable = False
+        return values
 
     @property
     def n_pairs(self) -> int:
@@ -179,10 +195,10 @@ class SymmetricMatrix:
         max(1, |A_ij|)`` entrywise; the two triangles are averaged and the
         diagonal is discarded.
 
-        The rows are folded into the packed values one at a time (see
-        ``_merge_rows``), so no n x n temporary is made, and the result
-        adopts those values without a copy. Only an asymmetric array is
-        scanned whole again, to name its worst pair.
+        The rows are folded one at a time into the row-major tail of the
+        result's buffer (see ``_merge_rows``), then spread into place, so no
+        n x n temporary is made. Only an asymmetric array is scanned whole
+        again, to name its worst pair.
         """
         arr = np.asarray(array, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -190,8 +206,8 @@ class SymmetricMatrix:
         n = arr.shape[0]
         if n < 2:
             raise FormatError(f"dimension must be >= 2, got n={n}")
-        values = np.empty(n * (n - 1) // 2)
-        if not _merge_rows(values, arr, 0):
+        blas = np.empty(n * (n + 1) // 2)
+        if not _merge_rows(blas[n:], arr, 0):
             gap = np.abs(arr - arr.T)
             bound = _SYMMETRY_RTOL * np.maximum(1.0, np.abs(arr))
             i, j = np.unravel_index(int(np.argmax(gap - bound)), arr.shape)
@@ -199,15 +215,14 @@ class SymmetricMatrix:
                 f"entries ({i},{j}) and ({j},{i}) differ by {gap[i, j]:.3e}, "
                 f"beyond tolerance {bound[i, j]:.3e}"
             )
-        return SymmetricMatrix.adopt(n, values)
+        return SymmetricMatrix.adopt(n, spread_rows(blas, n))
 
     def dense(self) -> np.ndarray:
         """Materialize the full n x n array, a row of the upper triangle at a time."""
         n = self.n
         out = np.zeros((n, n))
-        starts = (row_offsets(n) + np.arange(1, n + 1)).tolist()  # pair (i, i + 1)
-        for i in range(n - 1):
-            row = self.values[starts[i] : starts[i] + n - 1 - i]
+        for i, (_, slots) in enumerate(lower_rows(n)):
+            row = self.blas[slots]
             out[i, i + 1 :] = row
             out[i + 1 :, i] = row
         return out
@@ -215,10 +230,10 @@ class SymmetricMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymmetricMatrix):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.values, other.values)
+        return self.n == other.n and np.array_equal(self.blas, other.blas)
 
     def __repr__(self) -> str:
-        return f"SymmetricMatrix(n={self.n})"
+        return f"{type(self).__name__}(n={self.n})"
 
 
 def _merge_rows(values: np.ndarray, rows: np.ndarray, first: int) -> bool:
@@ -268,15 +283,15 @@ class MatrixSource:
             raise ValueError(f"unknown format {self.format!r}; expected one of {FORMATS}")
 
 
-def load_matrix(source: MatrixSource | str | Path, format: str = "dense-csv") -> SymmetricMatrix:
+def load_matrix(source: MatrixSource) -> SymmetricMatrix:
     """Read a :class:`SymmetricMatrix` from a file.
 
     A file of plain numeric text, with LF, CRLF or CR line ends, is parsed in
     one vectorized pass. The pass reads the file in blocks of whole lines
-    (about 1 MiB each) and parses each block straight into the packed
-    values, so it never holds the whole file, an n x n array or a second
-    copy of the result. Dense rows are checked for symmetry as they arrive;
-    an edge list is read twice, once to count its lines. Whatever that pass
+    (about 1 MiB each) and parses each block straight into the row-major
+    tail of the result's buffer, so it never holds the whole file, an n x n
+    array or a second copy. Dense rows are checked for symmetry as they
+    arrive; an edge list is read twice, once to count its lines. Whatever that pass
     declines (any byte outside plain numeric text, a wrong shape or token
     count, a non-finite value, an asymmetric pair) is read again from the
     start, line by line, and the line reader's result or line-numbered
@@ -285,10 +300,8 @@ def load_matrix(source: MatrixSource | str | Path, format: str = "dense-csv") ->
 
     Parameters
     ----------
-    source : MatrixSource or path
-        A :class:`MatrixSource`, or a bare path (then ``format`` applies).
-    format : str
-        Format for bare-path callers; ignored when a MatrixSource is given.
+    source : MatrixSource
+        The file and its format.
 
     Raises
     ------
@@ -301,8 +314,6 @@ def load_matrix(source: MatrixSource | str | Path, format: str = "dense-csv") ->
     FileNotFoundError
         The file does not exist.
     """
-    if not isinstance(source, MatrixSource):
-        source = MatrixSource(format=format, path=source)
     with open(source.path, "rb") as fh:
         matrix = _parse_blocks(source.format, fh)
         if matrix is None:
@@ -428,7 +439,8 @@ def _fast_dense(fh: IO[bytes]) -> SymmetricMatrix:
             # row's width is declined before anything of size N exists.
             if n < 2 or 2 * n * n - 1 > size:
                 raise FormatError("not a square matrix")
-            values = np.empty(n * (n - 1) // 2)
+            blas = np.empty(n * (n + 1) // 2)
+            values = blas[n:]
         if rows.shape[1] != n or filled + rows.shape[0] > n:
             raise FormatError("not a square matrix")
         # from_dense drops the diagonal, where the line parser still
@@ -440,7 +452,7 @@ def _fast_dense(fh: IO[bytes]) -> SymmetricMatrix:
         filled += rows.shape[0]
     if values is None or filled != n:
         raise FormatError("not a square matrix")
-    return SymmetricMatrix.adopt(n, values)
+    return SymmetricMatrix.adopt(n, spread_rows(blas, n))
 
 
 def _fast_upper_triangle(fh: IO[bytes]) -> SymmetricMatrix:
@@ -460,14 +472,15 @@ def _fast_upper_triangle(fh: IO[bytes]) -> SymmetricMatrix:
                 # file is declined before anything of size N exists.
                 if n < 2 or 2 * n_pairs + 1 > size:
                     raise FormatError("dimension does not fit the file")
-                values = np.empty(n_pairs)
+                blas = np.empty(n * (n + 1) // 2)
+                values = blas[n:]
             if filled + len(tokens) > n_pairs:
                 raise FormatError("too many values")
             values[filled : filled + len(tokens)] = np.array(tokens, dtype=np.float64)
             filled += len(tokens)
     if values is None or filled != n_pairs:
         raise FormatError("too few values")
-    return SymmetricMatrix.adopt(n, values)
+    return SymmetricMatrix.adopt(n, spread_rows(blas, n))
 
 
 def _fast_edge_list(fh: IO[bytes]) -> SymmetricMatrix:
@@ -512,22 +525,28 @@ def _fast_edge_list(fh: IO[bytes]) -> SymmetricMatrix:
     for lo in range(0, keys.shape[0], _KEY_BLOCK):
         a, b = keys[lo : lo + _KEY_BLOCK], j[lo : lo + _KEY_BLOCK]
         a[...] = offsets[np.minimum(a, b)] + np.maximum(a, b)
-    del j
-    if keys.shape[0] == n_pairs and all(
+    del a, b, j  # the last block's views would keep i and j alive
+    if keys.shape[0] != n_pairs or not all(
         np.array_equal(keys[lo : lo + _KEY_BLOCK], np.arange(lo, min(lo + _KEY_BLOCK, n_pairs)))
         for lo in range(0, n_pairs, _KEY_BLOCK)
-    ):
-        return SymmetricMatrix.adopt(n, w)  # every pair once, in pack order
-    order = np.argsort(keys, kind="stable")  # repeats keep their line order
-    keys = keys[order]
-    w = w[order]
-    repeat = keys[1:] == keys[:-1]
-    if np.any(w[1:][repeat] != w[:-1][repeat]):
-        raise FormatError("conflicting weights")
-    # The last line of each pair wins, as in the dict. The keys left are
-    # distinct and in range, so the length check means that every pair is
-    # present.
-    return SymmetricMatrix.adopt(n, w[np.append(~repeat, True)])
+    ):  # else every pair once, in pack order
+        order = np.argsort(keys, kind="stable")  # repeats keep their line order
+        keys = keys[order]
+        w = w[order]
+        del order
+        repeat = keys[1:] == keys[:-1]
+        if np.any(w[1:][repeat] != w[:-1][repeat]):
+            raise FormatError("conflicting weights")
+        # The last line of each pair wins, as in the dict. The keys left are
+        # distinct and in range, so there are n_pairs of them exactly when
+        # every pair is present.
+        w = w[np.append(~repeat, True)]
+        if w.shape[0] != n_pairs:
+            raise FormatError("missing pairs")
+    del keys
+    blas = np.empty(n * (n + 1) // 2)
+    blas[n:] = w
+    return SymmetricMatrix.adopt(n, spread_rows(blas, n))
 
 
 def _parse(format: str, fh: IO[str]) -> SymmetricMatrix:

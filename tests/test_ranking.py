@@ -242,7 +242,7 @@ class TestBlasLayout:
                     assert str(raised.value) == str(exc), label
                     continue
                 r = rank_transform(m, policy)
-                packed = SymmetricMatrix(n, expected).lower_packed()
+                packed = SymmetricMatrix(n, expected).blas
                 assert r.blas.tobytes() == packed.tobytes(), (label, policy)
 
     def test_inputs_reach_collision_runs_and_ties(self, monkeypatch):
@@ -282,8 +282,8 @@ class TestBlasLayout:
 
     def test_constructed_rank_matrix_keeps_its_values(self):
         blas = np.array([0.0, 0.75, 0.25, 0.0, 0.5, 0.0])
-        r = RankMatrix(3, blas)
-        assert r.lower_packed() is blas and not blas.flags.writeable
+        r = RankMatrix.adopt(3, blas)
+        assert r.blas is blas and not blas.flags.writeable
         assert np.array_equal(r.values, [0.75, 0.25, 0.5])
 
     @pytest.mark.parametrize("block", [1, 2, 3, 5, 64])

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,15 +15,25 @@ from scipy.linalg.blas import dspmv
 from rankspectral import (
     ConvergenceError,
     EigenPair,
+    Exponential,
+    MatrixSource,
+    Normal,
     SymmetricMatrix,
     esd_from_eigenvalues,
     full_spectrum,
     leading_eigenpair,
+    load_matrix,
+    moments,
     rank_transform,
+    sample_homogeneous,
     sample_interpolated_rank,
+    sample_planted_submatrix,
+    sample_two_block,
+    save_matrix,
     semicircle_cdf,
     spectra,
     subspace_distance_sq,
+    whiten,
 )
 from rankspectral import symmetric
 from rankspectral.rng import make_generator
@@ -113,9 +124,7 @@ def upper_route(matrix, monkeypatch):
 
     The same loop as :func:`leading_eigenpair`, fed the upper-packed buffer.
     """
-    upper = types.SimpleNamespace(
-        n=matrix.n, lower_packed=lambda: column_pack(matrix.values, matrix.n)
-    )
+    upper = types.SimpleNamespace(n=matrix.n, blas=column_pack(matrix.values, matrix.n))
     with monkeypatch.context() as patch:
         patch.setattr(
             spectra, "dspmv", lambda n, alpha, ap, v, lower: dspmv(n, alpha, ap, v, lower=0)
@@ -128,17 +137,84 @@ def ulps_apart(a: float, b: float) -> int:
     return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
 
 
+def triu_scatter(values, n):
+    """The lower-packed buffer of row-major ``values``, scattered by ``np.triu_indices``."""
+    upper = np.zeros((n, n))
+    upper[np.triu_indices(n, 1)] = values
+    return upper[np.triu_indices(n)]
+
+
+def producers(n, tmp_path):
+    """(label, matrix, its row-major values built apart from the package), one per producer.
+
+    The samplers' references come from one whole draw of each stream, in
+    the order the sampler takes them; the files are read by the vectorized
+    route and, with a ``0_`` prefix only the line parser takes, by the line
+    route.
+    """
+    n_pairs = n * (n - 1) // 2
+    rng = make_generator(n)
+    values = np.where(rng.random(n_pairs) < 0.2, -0.0, rng.standard_normal(n_pairs))
+    yield "constructor", SymmetricMatrix(n, values), values
+    rows, cols = np.triu_indices(n, 1)
+    dense = np.zeros((n, n))
+    dense[rows, cols] = dense[cols, rows] = values
+    yield "from_dense", SymmetricMatrix.from_dense(dense), values
+    for format in symmetric.FORMATS:
+        path = tmp_path / f"{format}-{n}.txt"
+        save_matrix(SymmetricMatrix(n, values), path, format)
+        text = path.read_text()
+        for route, prefix in (("vectorized", ""), ("line", "0_")):
+            path.write_text(prefix + text)
+            with mock.patch.object(symmetric, "_parse", wraps=symmetric._parse) as line_parser:
+                matrix = load_matrix(MatrixSource(format, path))
+            assert line_parser.called == (route == "line"), (format, route)
+            yield f"load {format} {route}", matrix, values
+    normal, exponential = Normal(0.0, 1.0), Exponential(1.0)
+    yield "homogeneous", sample_homogeneous(n, "normal(0,1)", n), normal.sample(
+        n_pairs, make_generator(n)
+    )
+    matrix, assignment = sample_two_block(n, "normal(0,1)", "exponential(1)", n)
+    stream = make_generator(n)
+    stream.permutation(n)
+    labels = assignment.labels
+    within, between = normal.sample(n_pairs, stream), exponential.sample(n_pairs, stream)
+    yield "two-block", matrix, np.where(labels[rows] == labels[cols], within, between)
+    matrix, assignment = sample_planted_submatrix(n, n // 2 + 1, "exponential(1)", "normal(0,1)", n)
+    stream = make_generator(n)
+    stream.permutation(n)
+    planted = assignment.labels == 1
+    inside, background = exponential.sample(n_pairs, stream), normal.sample(n_pairs, stream)
+    yield "planted", matrix, np.where(planted[rows] & planted[cols], inside, background)
+    for k in (0, n, math.inf):
+        stream = make_generator(n)
+        if math.isinf(k):
+            expected = stream.random(n_pairs)
+        else:
+            expected = (stream.permutation(n_pairs + k)[:n_pairs] + 1.0) / (n_pairs + k + 1)
+        yield f"interpolated k={k}", sample_interpolated_rank(n, k, n), expected
+    scores = rng.standard_normal(n_pairs)
+    ranks = np.empty(n_pairs)
+    ranks[np.argsort(scores)] = np.arange(1, n_pairs + 1)
+    ranks /= n_pairs + 1
+    ranked = rank_transform(SymmetricMatrix(n, scores))
+    yield "rank_transform", ranked, ranks
+    if n >= 3:
+        yield "whiten", whiten(ranked), (ranks - 0.5) / math.sqrt(moments(n).sigma_sq)
+
+
 class TestPackedBlas:
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 64])
-    def test_matches_triu_index_scatter(self, n):
-        rng = make_generator(n)
-        n_pairs = n * (n - 1) // 2
-        values = np.where(rng.random(n_pairs) < 0.2, -0.0, rng.standard_normal(n_pairs))
-        m = SymmetricMatrix(n, values)
-        packed = m.lower_packed()
-        assert packed.tobytes() == m.dense()[np.triu_indices(n)].tobytes()
-        # +0.0 on the diagonal, not -0.0.
-        assert packed[symmetric.diagonal_slots(n)].tobytes() == np.zeros(n).tobytes()
+    def test_matches_triu_index_scatter(self, n, tmp_path):
+        labels = []
+        for label, matrix, values in producers(n, tmp_path):
+            labels.append(label)
+            assert matrix.blas.tobytes() == triu_scatter(values, n).tobytes(), label
+            # +0.0 on the diagonal, not -0.0.
+            diagonal = matrix.blas[symmetric.diagonal_slots(n)]
+            assert diagonal.tobytes() == np.zeros(n).tobytes(), label
+            assert not matrix.blas.flags.writeable, label
+        assert len(labels) == 15 + (n >= 3)
 
     @pytest.mark.parametrize("n", [3, 300, 1000])
     def test_within_four_ulp_of_the_upper_route(self, n, monkeypatch):
@@ -185,26 +261,6 @@ def test_eigenpair_bits_do_not_depend_on_the_blas_threads():
         outputs.append(proc.stdout)
     assert len(outputs[0].splitlines()) == 2
     assert outputs[0] == outputs[1]
-
-
-class TestPrepackedRankMatrix:
-    @pytest.mark.parametrize("n", [2, 3, 10, 120])
-    def test_uses_the_buffer_and_matches_the_packed_route(self, n, monkeypatch):
-        ranked = rank_values_matrix(n, n)
-        repacked = SymmetricMatrix(n, ranked.values)
-        expected = leading_eigenpair(repacked)
-
-        def no_pack(matrix):
-            raise AssertionError("a rank matrix from rank_transform was packed again")
-
-        monkeypatch.setattr(SymmetricMatrix, "lower_packed", no_pack)
-        pair = leading_eigenpair(ranked)
-        assert (pair.value, pair.iterations, pair.residual) == (
-            expected.value,
-            expected.iterations,
-            expected.residual,
-        )
-        assert pair.vector.tobytes() == expected.vector.tobytes()
 
 
 class TestFullSpectrum:

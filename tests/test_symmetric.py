@@ -89,9 +89,6 @@ class TestLayouts:
         for n in range(2, 301):
             rows, _ = np.triu_indices(n, k=1)
             slots = np.arange(n * (n - 1) // 2) + rows + 1
-            out = np.empty(n * (n - 1) // 2, dtype=np.int64)
-            symmetric.lower_slots(n, out)
-            assert np.array_equal(out, slots), n
             for dtype in (np.int32, np.int64):
                 got = symmetric.row_major_index(slots.astype(dtype), n)
                 assert got.dtype == dtype
@@ -164,19 +161,20 @@ class TestSymmetricMatrix:
         assert m.values[0] == 1.0
 
     def test_adopt_keeps_the_array(self):
-        vals = np.array([1.0, 2.0, 3.0])
-        m = SymmetricMatrix.adopt(3, vals)
-        assert m.values is vals
-        assert not vals.flags.writeable
+        blas = np.array([0.0, 1.0, 2.0, 0.0, 3.0, 0.0])
+        m = SymmetricMatrix.adopt(3, blas)
+        assert m.blas is blas
+        assert not blas.flags.writeable
         assert m == SymmetricMatrix(3, [1.0, 2.0, 3.0])
 
     def test_adopt_checks_like_the_constructor(self):
-        with pytest.raises(ValueError, match="expected 3"):
-            SymmetricMatrix.adopt(3, np.array([1.0, 2.0]))
-        with pytest.raises(ValueError, match="finite"):
-            SymmetricMatrix.adopt(3, np.array([1.0, np.inf, 2.0]))
+        with pytest.raises(ValueError, match="^expected 6 lower-packed entries for n=3, got shape"):
+            SymmetricMatrix.adopt(3, np.array([0.0, 1.0, 2.0]))
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                SymmetricMatrix.adopt(3, np.array([0.0, 1.0, bad, 0.0, 2.0, 0.0]))
         with pytest.raises(ValueError, match="dimension"):
-            SymmetricMatrix.adopt(1, np.array([]))
+            SymmetricMatrix.adopt(1, np.array([0.0]))
 
     def test_wrong_length(self):
         with pytest.raises(ValueError, match="expected 3"):
@@ -199,7 +197,8 @@ class TestSymmetricMatrix:
 
     def test_from_dense_adopts_its_values(self):
         m = SymmetricMatrix.from_dense(np.array([[0.0, 5.0], [5.0, 0.0]]))
-        assert type(m) is SymmetricMatrix and not m.values.flags.writeable
+        assert type(m) is SymmetricMatrix and not m.blas.flags.writeable
+        assert m.blas.tolist() == [0.0, 5.0, 0.0]
         with pytest.raises(ValueError, match="finite"):
             SymmetricMatrix.from_dense(np.array([[0.0, np.inf], [np.inf, 0.0]]))
 
@@ -304,7 +303,7 @@ class TestRoundTrips:
             m = SymmetricMatrix(n, values)
             path = tmp_path / f"m{n}.txt"
             save_matrix(m, path, format=format)
-            back = load_matrix(path, format=format)
+            back = load_matrix(MatrixSource(format=format, path=path))
             assert back.n == m.n
             assert np.array_equal(back.values, m.values)
 
@@ -315,7 +314,7 @@ class TestRoundTrips:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_matrix(tmp_path / "absent.csv")
+            load_matrix(MatrixSource(format="dense-csv", path=tmp_path / "absent.csv"))
 
     @pytest.mark.parametrize(
         "format,newline",
@@ -354,11 +353,11 @@ class TestRoundTrips:
         path = tmp_path / "bad.csv"
         path.write_bytes(b"\xff\xfe")
         with pytest.raises(FormatError, match=r"^line 1: invalid UTF-8 byte 0xff$"):
-            load_matrix(path)
+            load_matrix(MatrixSource(format="dense-csv", path=path))
         # Line breaks are counted as text mode counts them: LF, CRLF, lone CR.
         path.write_bytes(b"3\r\n0.5\r0.25\n\xe9\n")
         with pytest.raises(FormatError, match=r"^line 4: invalid UTF-8 byte 0xe9$"):
-            load_matrix(path, format="upper-triangle-text")
+            load_matrix(MatrixSource(format="upper-triangle-text", path=path))
 
 
 class TestDenseCsvParsing:
@@ -494,7 +493,7 @@ class TestEdgeListParsing:
         path.write_text("0 1 1.0\n0 2147483648 1.0\n")
         message = "expected 2305843010287435776 for n=2147483649"
         with pytest.raises(FormatError, match=f"^incomplete edge list: 2 distinct pairs, {message}$"):
-            load_matrix(path, format="weighted-edge-list")
+            load_matrix(MatrixSource(format="weighted-edge-list", path=path))
 
     def test_self_loops_only(self):
         with pytest.raises(FormatError, match="two nodes"):
@@ -569,7 +568,7 @@ FILE_CASES = {
 def test_file_parse_matches_stream(format, text, tmp_path):
     path = tmp_path / "m.txt"
     path.write_bytes(text.encode("utf-8"))
-    assert _outcome(lambda: load_matrix(path, format=format)) == _outcome(
+    assert _outcome(lambda: load_matrix(MatrixSource(format=format, path=path))) == _outcome(
         lambda: symmetric._parse(format, io.StringIO(text))
     )
 
@@ -662,7 +661,7 @@ def test_vectorized_parse_matches_line_parser(format, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.txt"
         path.write_bytes(raw)
-        assert _outcome(lambda: load_matrix(path, format=format)) == expected
+        assert _outcome(lambda: load_matrix(MatrixSource(format=format, path=path))) == expected
 
 
 def _load_file(raw, format):
@@ -670,7 +669,7 @@ def _load_file(raw, format):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.txt"
         path.write_bytes(raw)
-        return _outcome(lambda: load_matrix(path, format=format))
+        return _outcome(lambda: load_matrix(MatrixSource(format=format, path=path)))
 
 
 @pytest.mark.parametrize("format", symmetric.FORMATS)
@@ -760,7 +759,7 @@ def test_asymmetry_in_a_later_block_gets_the_line_parsers_error(tmp_path, monkey
     path = tmp_path / "m.csv"
     path.write_text(text, encoding="ascii")
     with pytest.raises(AsymmetryError) as from_file:
-        load_matrix(path)
+        load_matrix(MatrixSource(format="dense-csv", path=path))
     with pytest.raises(AsymmetryError) as from_lines:
         symmetric._parse("dense-csv", io.StringIO(text))
     assert str(from_file.value) == str(from_lines.value)
@@ -783,7 +782,7 @@ def test_dimension_too_large_for_the_file_declines_before_allocating(tmp_path):
     path.write_bytes(raw)
     message = "expected 4999999950000000 values for n=100000000, got 2"
     with pytest.raises(FormatError, match=f"^{message}$"):
-        load_matrix(path, format="upper-triangle-text")
+        load_matrix(MatrixSource(format="upper-triangle-text", path=path))
 
 
 def test_dense_row_too_wide_for_the_file_declines_before_allocating():
@@ -819,7 +818,7 @@ class TestShuffledEdgeList:
         assert fast.values.tobytes() == m.values.tobytes()
         path = tmp_path / "m.txt"
         path.write_bytes(raw)
-        assert load_matrix(path, format="weighted-edge-list") == m
+        assert load_matrix(MatrixSource(format="weighted-edge-list", path=path)) == m
 
     def test_two_lines_out_of_pack_order(self):
         # Only a pack-ordered list skips the sort; the first key being 0 and
@@ -846,7 +845,7 @@ class TestShuffledEdgeList:
         expected = _outcome(lambda: symmetric._parse("weighted-edge-list", io.StringIO(text)))
         assert expected[0] is FormatError
         assert expected[1].startswith(f"line {len(lines)}: pair ")
-        assert _outcome(lambda: load_matrix(path, format="weighted-edge-list")) == expected
+        assert _outcome(lambda: load_matrix(MatrixSource(format="weighted-edge-list", path=path))) == expected
 
 
 def test_save_handles_extreme_values(tmp_path):
@@ -856,4 +855,4 @@ def test_save_handles_extreme_values(tmp_path):
     for format in ("dense-csv", "upper-triangle-text", "weighted-edge-list"):
         path = tmp_path / "extreme.txt"
         save_matrix(m, path, format=format)
-        assert np.array_equal(load_matrix(path, format=format).values, values)
+        assert np.array_equal(load_matrix(MatrixSource(format=format, path=path)).values, values)

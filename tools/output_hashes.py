@@ -58,6 +58,7 @@ from rankspectral import (  # noqa: E402
     TARGETS,
     ExperimentConfig,
     FormatError,
+    MatrixSource,
     TieError,
     TiePolicy,
     eigen_relationship_experiment,
@@ -253,7 +254,7 @@ def rank_outputs(out: Path):
         if "random" in argv:
             policy = TiePolicy.random(int(argv[argv.index("--seed") + 1]))
         try:
-            matrix = load_matrix(argv[1], format)
+            matrix = load_matrix(MatrixSource(format=format, path=argv[1]))
             parts = [matrix.values.tobytes(), rank_transform(matrix, policy).values.tobytes()]
         except (FormatError, TieError) as exc:
             parts = [f"{type(exc).__name__}: {exc}".encode()]
