@@ -10,7 +10,7 @@ data leaves the matrix bit-for-bit unchanged.
 
 import numpy as np
 
-from rankspectral import SymmetricMatrix, make_generator, moments, rank_transform
+from rankspectral import SymmetricMatrix, make_generator, moments, pair_indices, rank_transform
 
 # A symmetric score table: n nodes, one noisy similarity per pair.
 n = 10
@@ -29,6 +29,12 @@ print("ranked scores, first row:", np.round(ranked.dense()[0], 3))
 N = n * (n - 1) // 2
 assert np.array_equal(np.sort(ranked.values), np.arange(1, N + 1) / (N + 1))
 print("entries are exactly the grid k/(N+1), N =", N)
+
+# ``values`` lists the pairs (i, j), i < j, row by row; pair_indices names them.
+rows, cols = pair_indices(n)
+top = int(np.argmax(ranked.values))
+i, j = rows[top], cols[top]
+print(f"top-ranked pair: ({i}, {j}), raw score {scores.dense()[i, j]:.3f}")
 
 # Monotone invariance: exponentiate, rescale, shift. Same ranks, same
 # matrix, down to the last bit. This is what makes the downstream test

@@ -33,6 +33,7 @@ from .inference import eigenvalue_statistic, eigenvector_statistic, run_test, st
 from .models import (
     Normal,
     Uniform,
+    checked_k,
     parse_distribution,
     sample_homogeneous,
     sample_interpolated_rank,
@@ -49,7 +50,7 @@ from .spectra import (
     subspace_distance_sq,
     ESDSummary,
 )
-from .symmetric import SymmetricMatrix
+from .symmetric import SymmetricMatrix, diagonal_slots
 
 TABLE_REPLICATES = 400
 QQ_REPLICATES = 2000
@@ -389,13 +390,9 @@ def variance_transition_experiment(
     if replicates < 2:
         raise ValueError(f"variance needs replicates >= 2, got {replicates}")
     _check_sizes(n, replicates)
-    k_values = list(k_list)
+    k_values = [checked_k(n, k) for k in k_list]
     if not k_values:
         raise ValueError("k_list must be nonempty")
-    n_pairs = n * (n - 1) // 2
-    for k in k_values:
-        if not math.isinf(k) and (int(k) != k or k < 0 or k > 10 * n_pairs):
-            raise ValueError(f"invalid k={k!r} for n={n}")
     start = time.perf_counter()
 
     def worker(i: int) -> tuple:
@@ -405,7 +402,7 @@ def variance_transition_experiment(
 
     flat = _replicate_columns(("lambda1",), worker, len(k_values) * replicates, threads)
     lambda1 = flat["lambda1"].reshape(len(k_values), replicates)
-    labels = ["inf" if math.isinf(k) else int(k) for k in k_values]
+    labels = ["inf" if math.isinf(k) else k for k in k_values]
     rows = [
         {
             "k": label,
@@ -462,8 +459,9 @@ def operator_norm_tail_experiment(
     threshold = 6.0 * math.sqrt(n)
 
     def worker(i: int) -> tuple:
-        ranked = _ranked_null(n, derive_seed(seed, i))
-        eigs = full_spectrum(SymmetricMatrix(n, ranked.values - 0.5))
+        centered = _ranked_null(n, derive_seed(seed, i)).blas - 0.5
+        centered[diagonal_slots(n)] = 0.0
+        eigs = full_spectrum(SymmetricMatrix.adopt(n, centered))
         return (max(abs(float(eigs[0])), abs(float(eigs[-1]))),)
 
     arrays = _replicate_columns(("norm",), worker, replicates, threads)

@@ -276,6 +276,18 @@ def _draw_rows(
     return blas
 
 
+def checked_k(n: int, k: float) -> float:
+    """``k`` as :func:`sample_interpolated_rank` takes it: math.inf, or an int in [0, 10 N]."""
+    if k == math.inf:
+        return k
+    if not (k >= 0 and k == math.floor(k)):  # nan and -inf fail here
+        raise ValueError(f"invalid k={k!r} for n={n}: k must be a nonnegative integer or math.inf")
+    guard = 10 * (n * (n - 1) // 2)
+    if int(k) > guard:
+        raise ValueError(f"invalid k={k!r} for n={n}: k exceeds the 10*N guard ({guard})")
+    return int(k)
+
+
 def sample_interpolated_rank(n: int, k: float, seed: int) -> SymmetricMatrix:
     """Rank-like matrix interpolating between exact ranks and i.i.d. entries.
 
@@ -283,33 +295,35 @@ def sample_interpolated_rank(n: int, k: float, seed: int) -> SymmetricMatrix:
     {1/(N+k+1), ..., (N+k)/(N+k+1)} where N = n(n-1)/2. At k = 0 this is
     exactly the distribution of a rank matrix; as k grows the entries
     decorrelate, and k = math.inf means i.i.d. Uniform(0, 1). Finite k is
-    capped at 10 N (the draw materializes a permutation of N + k integers).
+    capped at 10 N: the draw is a permutation of N + k integers, made in the
+    returned buffer, so a call peaks at 8 n(n+1)/2 bytes while k <= n and
+    otherwise at the larger of that and 4(N + k) (8(N + k) above 2^31).
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got n={n}")
+    k = checked_k(n, k)
     n_pairs = n * (n - 1) // 2
     n_slots = n * (n + 1) // 2
     rng = make_generator(seed)
-    if math.isinf(k):
-        if k < 0:
-            raise ValueError("k must be >= 0")
+    if k == math.inf:
         # Uniform(0, 1) draws the bits of rng.random: 0.0 + 1.0 * u is u.
         return SymmetricMatrix.adopt(n, _draw_rows(np.empty(n_slots), n, Uniform(0.0, 1.0), rng))
-    kk = int(k)
-    if kk != k or kk < 0:
-        raise ValueError(f"k must be a nonnegative integer or math.inf, got {k!r}")
-    if kk > 10 * n_pairs:
-        raise ValueError(f"k={kk} exceeds the 10*N guard ({10 * n_pairs}) for n={n}")
-    # The permutation is drawn behind n spare slots (a shuffle of arange(N + k)
-    # in place has the bits of rng.permutation(N + k)); its first N draws
-    # become floats in their own slots, a block at a time, so the call peaks
-    # at 8(n + N + k) bytes instead of holding the N floats beside it.
-    buffer = np.arange(-n, n_pairs + kk)
-    rng.shuffle(buffer[n:])
-    floats = buffer.view(np.float64)
-    for lo in range(n, n_slots, _BLOCK):
-        hi = min(lo + _BLOCK, n_slots)
-        floats[lo:hi] = (buffer[lo:hi] + 1.0) / (n_pairs + kk + 1)
-    del floats
+    total = n_pairs + k
+    # int64 while the permutation fits in the result's slots (numpy's 8-byte
+    # shuffle), int32 while its values fit in 31 bits, else int64 again.
+    width = np.dtype(np.int64 if k <= n or total > 2**31 else np.int32)
+    buffer = np.empty(max(n_slots, -(-total * width.itemsize // 8)))
+    # Shuffling arange(N + k) in place gives the bits of rng.permutation(N + k)
+    # at either width: the draws do not depend on the item size.
+    perm = buffer.view(width)[:total]
+    for lo in range(0, total, _BLOCK):
+        perm[lo : lo + _BLOCK] = np.arange(lo, min(lo + _BLOCK, total))
+    rng.shuffle(perm)
+    # Draw s becomes the float in slot n + s, which spread_rows moves; taken
+    # top-down, it overwrites only draws at s or above, already read.
+    for lo in reversed(range(0, n_pairs, _BLOCK)):
+        hi = min(lo + _BLOCK, n_pairs)
+        np.divide(perm[lo:hi] + 1.0, total + 1, out=buffer[n + lo : n + hi])
+    del perm
     buffer.resize(n_slots, refcheck=False)
-    return SymmetricMatrix.adopt(n, spread_rows(buffer.view(np.float64), n))
+    return SymmetricMatrix.adopt(n, spread_rows(buffer, n))

@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .rng import make_generator
-from .symmetric import SymmetricMatrix, diagonal_slots, row_major_index
+from .symmetric import SymmetricMatrix, diagonal_slots, spread_rows
 
 
 class TieError(ValueError):
@@ -123,8 +123,8 @@ def rank_transform(matrix: SymmetricMatrix, policy: TiePolicy | None = None) -> 
     those runs: the ``error`` policy counts them over all blocks and
     reports the first, and the ``random`` policy orders the runs by value,
     then by ``rng.permutation(N)`` of the row-major positions (drawn at the
-    first tie), as a ``lexsort`` over all N would. It does so with one
-    argsort of int64 keys, value group * N + random position.
+    first tie, held by slot), as a ``lexsort`` over all N would. It does so
+    with one argsort of int64 keys, value group * N + random position.
 
     Each key is then rewritten as slot << b | rank, b the bit length of N,
     with rank 0 for the n diagonal keys. A second sort puts
@@ -136,8 +136,8 @@ def rank_transform(matrix: SymmetricMatrix, policy: TiePolicy | None = None) -> 
     Memory: on continuous data a call holds the buffer and temporaries of
     block size (1.07 x 8N at n = 2000), so a replicate holds about 16N
     bytes counting the caller's sample. When every entry is tied it also
-    holds the random positions, as int32, and one batch of runs
-    (1.82 x 8N at n = 2000).
+    holds the random positions, as int32 in n(n+1)/2 slots, and one batch
+    of runs (1.76 x 8N at n = 2000).
     """
     n = matrix.n
     n_slots = n * (n + 1) // 2
@@ -204,7 +204,7 @@ class _Ties:
     n: int
     count: int = 0  # tied entries, under the error policy
     value: float | None = None  # the first tied value in sorted order
-    shuffle: np.ndarray | None = None  # the random positions, drawn at the first tie
+    shuffle: np.ndarray | None = None  # the random positions by slot, drawn at the first tie
 
 
 def _sort_runs(matrix: SymmetricMatrix, keys: np.ndarray, bits: int, policy: TiePolicy) -> None:
@@ -302,7 +302,7 @@ def _order_runs(a: np.ndarray, index: np.ndarray, ties: _Ties) -> np.ndarray:
     # the orderings of each tied group. This is np.lexsort((shuffle, vals)).
     n_pairs = ties.n * (ties.n - 1) // 2
     if ties.shuffle is None:
-        ties.shuffle = _shuffled_positions(n_pairs, ties.policy.seed)
+        ties.shuffle = _shuffled_slots(ties.n, ties.policy.seed)
     np.logical_not(tied, out=tied)
     distinct = np.concatenate([ordered[:1], ordered[1:][tied]])  # -0.0 == 0.0: one group
     del ordered, tied
@@ -311,15 +311,15 @@ def _order_runs(a: np.ndarray, index: np.ndarray, ties: _Ties) -> np.ndarray:
     key = np.searchsorted(distinct, vals)
     del vals
     key *= n_pairs
-    key += ties.shuffle[row_major_index(index, ties.n)]
+    key += ties.shuffle[index]
     return np.argsort(key)
 
 
-def _shuffled_positions(n_pairs: int, seed: int | None) -> np.ndarray:
-    """``make_generator(seed).permutation(n_pairs)``, drawn straight into int32."""
-    shuffle = np.arange(n_pairs, dtype=np.int32)
-    make_generator(seed).shuffle(shuffle)
-    return shuffle
+def _shuffled_slots(n: int, seed: int | None) -> np.ndarray:
+    """``make_generator(seed).permutation(N)`` in int32, each draw at its position's slot."""
+    shuffle = np.arange(-n, n * (n - 1) // 2, dtype=np.int32)
+    make_generator(seed).shuffle(shuffle[n:])
+    return spread_rows(shuffle, n)
 
 
 @dataclass(frozen=True)

@@ -90,21 +90,6 @@ def lower_rows(n: int) -> Iterator[tuple[slice, slice]]:
         yield slice(start - i, start + n - 2 * i - 1), slice(start + 1, start + n - i)
 
 
-def row_major_index(slots: np.ndarray, n: int) -> np.ndarray:
-    """Row-major position of each off-diagonal lower-packed slot: the slot less i + 1 in row i.
-
-    The row i comes from a search of the row starts, done in blocks, and
-    the result is returned in the dtype of ``slots``.
-    """
-    starts = diagonal_slots(n)
-    out = np.empty(slots.shape[0], dtype=slots.dtype)
-    for lo in range(0, slots.shape[0], _KEY_BLOCK):
-        slot = slots[lo : lo + _KEY_BLOCK]
-        # The number of row starts at or before a slot of row i is i + 1.
-        out[lo : lo + _KEY_BLOCK] = slot - np.searchsorted(starts, slot, side="right")
-    return out
-
-
 def spread_rows(blas: np.ndarray, n: int) -> np.ndarray:
     """Move the row-major values held in ``blas[n:]`` to their lower-packed slots, in place.
 
@@ -343,15 +328,17 @@ def _emit(matrix: SymmetricMatrix, fh: IO[str], format: str) -> None:
         for row in matrix.dense():
             fh.write(",".join(repr(float(x)) for x in row))
             fh.write("\n")
+    # The other formats are written row by row from ``blas``: no row-major copy.
     elif format == "upper-triangle-text":
         fh.write(f"{matrix.n}\n")
-        for v in matrix.values:
-            fh.write(repr(float(v)))
-            fh.write("\n")
+        for _, slots in lower_rows(matrix.n):
+            for v in matrix.blas[slots].tolist():
+                fh.write(repr(v))
+                fh.write("\n")
     else:
-        rows, cols = pair_indices(matrix.n)
-        for i, j, v in zip(rows, cols, matrix.values):
-            fh.write(f"{i} {j} {repr(float(v))}\n")
+        for i, (_, slots) in enumerate(lower_rows(matrix.n)):
+            for j, v in enumerate(matrix.blas[slots].tolist(), start=i + 1):
+                fh.write(f"{i} {j} {repr(v)}\n")
 
 
 def _utf8_lines(data: bytes) -> IO[str]:
@@ -374,8 +361,8 @@ def _utf8_lines(data: bytes) -> IO[str]:
 _PLAIN_BYTES = b"0123456789+-.eE \t\n"
 _EDGE_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 _BLOCK_BYTES = 1 << 20
-# Entries per block of the edge-key build and its checks and of
-# row_major_index, and tokens per conversion of upper-triangle text.
+# Entries per block of the edge-key build and its checks, and tokens per
+# conversion of upper-triangle text.
 _KEY_BLOCK = _TOKENS = 1 << 16
 
 

@@ -22,6 +22,7 @@ from rankspectral import (
     subspace_recovery_ratio_experiment,
     variance_transition_experiment,
 )
+from rankspectral import experiments
 from rankspectral.experiments import _run_indexed
 
 
@@ -289,6 +290,18 @@ class TestVarianceTransitionExperiment:
             variance_transition_experiment(10, [2.5], 5, seed=0)
         with pytest.raises(ValueError, match="invalid k"):
             variance_transition_experiment(10, [10_000], 5, seed=0)
+
+    @pytest.mark.parametrize(
+        "k", [-math.inf, math.nan, 2.5, 10 * 45 + 1], ids=["-inf", "nan", "2.5", "10N+1"]
+    )
+    def test_bad_k_is_refused_before_any_replicate(self, k, monkeypatch):
+        # The sampler's own rule, checked for every k before replicate 0 runs.
+        def no_replicates(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(experiments, "sample_interpolated_rank", no_replicates)
+        with pytest.raises(ValueError, match="invalid k"):
+            variance_transition_experiment(10, [0, k], 2, seed=0)
 
     @pytest.mark.parametrize("n", [2, 1, 0])
     def test_small_n_is_refused_before_any_replicate(self, n):

@@ -315,7 +315,8 @@ class TestSampleInterpolatedRank:
     @pytest.mark.parametrize("n", [2, 3, 10, 45, 400])
     def test_matches_integer_division_formulation(self, n):
         n_pairs = n * (n - 1) // 2
-        for k in sorted({0, 1, n, int(n**1.5), n_pairs, 10 * n_pairs}):
+        # k <= n draws in int64, k = n + 1 is the first int32 draw.
+        for k in sorted({0, 1, n, n + 1, int(n**1.5), n_pairs, 10 * n_pairs}):
             draw = make_generator(n + k).permutation(n_pairs + k)[:n_pairs] + 1
             expected = draw / (n_pairs + k + 1)
             assert sample_interpolated_rank(n, k, n + k).values.tobytes() == expected.tobytes()
@@ -348,6 +349,9 @@ class TestSampleInterpolatedRank:
             sample_interpolated_rank(5, 2.5, seed=0)
         with pytest.raises(ValueError, match="guard"):
             sample_interpolated_rank(5, 101, seed=0)
+        for k in (-math.inf, math.nan):
+            with pytest.raises(ValueError, match="nonnegative integer"):
+                sample_interpolated_rank(5, k, seed=0)
 
     def test_deterministic(self):
         a = sample_interpolated_rank(10, 7, seed=11)

@@ -374,10 +374,17 @@ class TestTiePolicies:
         assert kernel_ranks(values, policy).tobytes() == expected
 
     def test_shuffle_draws_the_permutation(self):
-        for n_pairs in (1, 2, 45, 10_007):
-            got = ranking._shuffled_positions(n_pairs, 3)
+        # Row-major position r's draw sits at r's lower-packed slot, r + i + 1
+        # in row i, and each diagonal slot holds 0.
+        for n in (2, 3, 10, 142):
+            n_pairs = n * (n - 1) // 2
+            got = ranking._shuffled_slots(n, 3)
             assert got.dtype == np.int32
-            assert np.array_equal(got, make_generator(3).permutation(n_pairs))
+            assert got.shape == (n * (n + 1) // 2,)
+            rows, _ = np.triu_indices(n, k=1)
+            slots = np.arange(n_pairs) + rows + 1
+            assert np.array_equal(got[slots], make_generator(3).permutation(n_pairs))
+            assert not got[np.delete(np.arange(got.shape[0]), slots)].any()
 
 
 class TestMoments:

@@ -85,15 +85,6 @@ class TestPackIndex:
 class TestLayouts:
     """The map between the row-major and the lower-packed layout."""
 
-    def test_row_major_index_is_exact(self):
-        for n in range(2, 301):
-            rows, _ = np.triu_indices(n, k=1)
-            slots = np.arange(n * (n - 1) // 2) + rows + 1
-            for dtype in (np.int32, np.int64):
-                got = symmetric.row_major_index(slots.astype(dtype), n)
-                assert got.dtype == dtype
-                assert np.array_equal(got, np.arange(n * (n - 1) // 2)), (n, dtype)
-
     def test_diagonal_slots(self):
         for n in (2, 3, 7, 40):
             expected = [i * n - i * (i - 1) // 2 for i in range(n)]
@@ -111,22 +102,6 @@ class TestLayouts:
         expected[rows, cols] = values
         expected[cols, rows] = values
         assert SymmetricMatrix(n, values).dense().tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("n", [65535, 65536])
-    def test_row_major_index_near_the_int32_limit(self, n):
-        # Slots at both ends of the first, middle and last rows, where the
-        # search meets the row starts. n = 65535 is the largest dimension
-        # whose slots fit in int32.
-        pairs = [
-            (i, j)
-            for i in (0, 1, 2, n // 2, n - 3, n - 2)
-            for j in (i + 1, i + 2, n - 2, n - 1)
-            if i < j < n
-        ]
-        dtype = np.int32 if n == 65535 else np.int64
-        positions = [i * (2 * n - i - 1) // 2 + (j - i - 1) for i, j in pairs]
-        slots = np.array([k + i + 1 for k, (i, _) in zip(positions, pairs)], dtype=dtype)
-        assert symmetric.row_major_index(slots, n).tolist() == positions
 
 
 class TestSymmetricMatrix:
@@ -306,6 +281,26 @@ class TestRoundTrips:
             back = load_matrix(MatrixSource(format=format, path=path))
             assert back.n == m.n
             assert np.array_equal(back.values, m.values)
+
+    @pytest.mark.parametrize("format", symmetric.FORMATS)
+    def test_save_leaves_no_row_major_copy(self, format, tmp_path):
+        # The text formats are written row by row from ``blas``, in the
+        # row-major order of np.triu_indices; ``values`` is never read.
+        n = 9
+        values = np.random.default_rng(3).normal(size=n * (n - 1) // 2)
+        values[4] = -0.0
+        m = SymmetricMatrix(n, values)
+        path = tmp_path / "m.txt"
+        save_matrix(m, path, format)
+        assert "values" not in vars(m)
+        tokens = [repr(v) for v in values.tolist()]
+        rows, cols = np.triu_indices(n, k=1)
+        expected = {
+            "upper-triangle-text": [str(n), *tokens],
+            "weighted-edge-list": [f"{i} {j} {t}" for i, j, t in zip(rows, cols, tokens)],
+        }
+        if format in expected:
+            assert path.read_text() == "\n".join(expected[format]) + "\n"
 
     def test_save_rejects_unknown_format(self, tmp_path):
         m = random_symmetric(3, seed=0)

@@ -17,6 +17,10 @@ and after. Covered outputs:
   and of ``rank_transform(..., policy).values`` under the run's tie policy, or
   the error either one raises, so parse results and ranks are checked on
   their own, apart from the eigenpair the report carries;
+- the ``blas`` buffer of ``sample_interpolated_rank`` at n=45 for k in
+  {0, n, n+1, round(n^1.5), N, 10N}, which covers both widths of its
+  permutation, and of ``rank_transform`` on tied scores at n=300 under a
+  random tie policy;
 - every ``reproduce`` target at ``--scale 0.05``.
 
 CSV files are hashed as bytes. JSON files are hashed after dropping every
@@ -60,6 +64,7 @@ from rankspectral import (  # noqa: E402
     FormatError,
     MatrixSource,
     TieError,
+    SymmetricMatrix,
     TiePolicy,
     eigen_relationship_experiment,
     fk_comparison_experiment,
@@ -69,6 +74,7 @@ from rankspectral import (  # noqa: E402
     rank_transform,
     rejection_rate_experiment,
     reproduce_target,
+    sample_interpolated_rank,
     semicircle_experiment,
     subspace_recovery_ratio_experiment,
     variance_transition_experiment,
@@ -261,6 +267,22 @@ def rank_outputs(out: Path):
         yield sha(b"\0".join(parts)), label
 
 
+SAMPLE_N = 45
+
+
+def buffer_outputs():
+    """(hash, label) per ``blas`` buffer of the interpolated sampler and of a tied ranking."""
+    n_pairs = SAMPLE_N * (SAMPLE_N - 1) // 2
+    for k in (0, SAMPLE_N, SAMPLE_N + 1, round(SAMPLE_N**1.5), n_pairs, 10 * n_pairs):
+        matrix = sample_interpolated_rank(SAMPLE_N, k, 17)
+        yield sha(matrix.blas.tobytes()), f"sample_interpolated_rank n={SAMPLE_N} k={k}"
+    rng = np.random.Generator(np.random.PCG64(TEST_SEED + 1))
+    scores = rng.integers(0, 10, TEST_N * (TEST_N - 1) // 2).astype(np.float64)
+    scores[1::2] *= -1.0  # odd positions' zeros become -0.0, one tie group with 0.0
+    ranked = rank_transform(SymmetricMatrix(TEST_N, scores), TiePolicy.random(6))
+    yield sha(ranked.blas.tobytes()), f"rank_transform n={TEST_N} tied scores"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", help="directory for the outputs; use the same one for both runs")
@@ -279,6 +301,8 @@ def main() -> int:
         print(f"{digest}  test {label}", flush=True)
     for digest, label in rank_outputs(out):
         print(f"{digest}  rank {label}", flush=True)
+    for digest, label in buffer_outputs():
+        print(f"{digest}  blas {label}", flush=True)
     for target in TARGETS:
         paths = reproduce_target(
             target, seed=1, out_dir=out / "reproduce", scale=REPRODUCE_SCALE,
