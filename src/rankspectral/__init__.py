@@ -91,10 +91,12 @@ def _fix_malloc_thresholds() -> None:
 
     glibc raises its mmap threshold to the size of each mapped block freed,
     up to 32 MiB, after which the N-entry arrays of a replicate come from
-    per-thread arenas that keep what is freed; how the worker threads'
-    arrays interleave then sets the peak RSS, which varies run to run. With
-    the threshold fixed, such arrays go back to the system when freed and the
-    peak is the live arrays. A fixed threshold also stops glibc from raising
+    heap arenas that keep what is freed; how the arrays of successive
+    replicates interleave there (and, where replicates run in threads, the
+    arrays of concurrent ones) then sets the peak RSS, which varies run to
+    run. With the threshold fixed, such arrays go back to the system when
+    freed and the peak is the live arrays. Forked replicate workers inherit
+    the setting. A fixed threshold also stops glibc from raising
     the trim threshold with it, so that is set to twice the mmap threshold,
     as glibc would: at its default of 128 KiB, the heap would hand back and
     fault in again the pages of each block-sized temporary.

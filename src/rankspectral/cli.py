@@ -46,6 +46,11 @@ EXIT_DATA = 65
 EXIT_NOINPUT = 66
 EXIT_INTERNAL = 70
 
+_THREADS_HELP = (
+    "replicates run at once, each in a forked worker process on Linux (a thread "
+    "elsewhere) with its own memory peak; results do not depend on it"
+)
+
 
 def _fail(error: str, message: str, code: int) -> NoReturn:
     sys.stderr.write(json.dumps({"error": error, "message": message}) + "\n")
@@ -89,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--replicates", type=int, default=TABLE_REPLICATES)
     p_sim.add_argument("--alpha", type=float, default=0.05)
     p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--threads", type=int, default=1)
+    p_sim.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p_sim.add_argument("--dump", help="per-replicate CSV path")
     p_sim.add_argument("--out", help="write the report JSON here instead of stdout")
     p_sim.set_defaults(func=cmd_simulate)
@@ -98,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("target", choices=TARGETS)
     p_rep.add_argument("--seed", type=int, required=True)
     p_rep.add_argument("--scale", type=float, default=1.0)
-    p_rep.add_argument("--threads", type=int, default=1)
+    p_rep.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p_rep.add_argument("--out", default="reproduction", help="output directory")
     p_rep.set_defaults(func=cmd_reproduce)
 
@@ -114,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qq.add_argument("--replicates", type=int, default=QQ_REPLICATES)
     p_qq.add_argument("--which", choices=("eigenvalue", "eigenvector"), default="eigenvalue")
     p_qq.add_argument("--seed", type=int, required=True)
-    p_qq.add_argument("--threads", type=int, default=1)
+    p_qq.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p_qq.add_argument("--out", default=".", help="output directory")
     p_qq.set_defaults(func=cmd_qq)
 

@@ -84,7 +84,11 @@ def leading_eigenpair(matrix: SymmetricMatrix) -> EigenPair:
     ------
     ConvergenceError
         10,000 matrix-vector products without convergence, which signals
-        a near-degenerate leading pair.
+        a near-degenerate leading pair; or convergence to a negative
+        eigenvalue, which breaks the dominance assumption (a zero-diagonal
+        matrix has trace 0, so its largest eigenvalue is never negative).
+        A whitened rank matrix (:func:`~rankspectral.whiten`) has no spike
+        and can be such a matrix.
     """
     n = matrix.n
     v = np.full(n, 1.0 / math.sqrt(n))
@@ -101,6 +105,15 @@ def leading_eigenpair(matrix: SymmetricMatrix) -> EigenPair:
         lam_prev = lam
         converged = streak >= 2 and residual <= _TOL * (abs(lam) + resid_floor)
         if converged and (lam >= n / 4.0 or restarted):
+            if lam < 0.0:
+                # The zero diagonal makes the trace 0, so the largest
+                # eigenvalue is >= 0: a negative limit is the most negative
+                # eigenvalue, dominating in modulus.
+                raise ConvergenceError(
+                    f"power iteration converged to the negative eigenvalue {lam!r}: "
+                    f"the most negative eigenvalue dominates in modulus, but the "
+                    f"solver assumes the largest one does"
+                )
             return EigenPair(
                 value=lam,
                 vector=_fix_sign(v),

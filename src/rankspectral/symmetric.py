@@ -324,11 +324,14 @@ def save_matrix(
 
 
 def _emit(matrix: SymmetricMatrix, fh: IO[str], format: str) -> None:
+    # Every format is written row by row from ``blas``: no n x n or row-major copy.
     if format == "dense-csv":
-        for row in matrix.dense():
-            fh.write(",".join(repr(float(x)) for x in row))
+        # Entry (i, j), j < i, is column i of row j, in slot j n - j(j-1)/2 + i - j.
+        above = diagonal_slots(matrix.n) - np.arange(matrix.n)
+        for i, (_, slots) in enumerate(lower_rows(matrix.n)):
+            left = matrix.blas[above[:i] + i].tolist()
+            fh.write(",".join(map(repr, [*left, 0.0, *matrix.blas[slots].tolist()])))
             fh.write("\n")
-    # The other formats are written row by row from ``blas``: no row-major copy.
     elif format == "upper-triangle-text":
         fh.write(f"{matrix.n}\n")
         for _, slots in lower_rows(matrix.n):

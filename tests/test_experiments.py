@@ -3,6 +3,9 @@
 import itertools
 import json
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -24,6 +27,8 @@ from rankspectral import (
 )
 from rankspectral import experiments
 from rankspectral.experiments import _run_indexed
+
+from conftest import checkout_env
 
 
 def small_config(**overrides):
@@ -107,6 +112,74 @@ class TestRunIndexed:
             _run_indexed(worker, 5, threads=1)
         with pytest.raises(ExperimentError, match="replicate 3 failed"):
             _run_indexed(worker, 5, threads=2)
+
+
+def run_script(source: str, env: dict, timeout: float = 300) -> str:
+    """Stdout of ``source`` run in a fresh interpreter; fails on error or timeout."""
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(source)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.skipif(not experiments._FORK_WORKERS, reason="replicates run in threads here")
+class TestWorkerProcesses:
+    def test_dead_worker_is_an_error_not_a_hang(self):
+        out = run_script(
+            """
+            import os
+            from rankspectral import ExperimentError
+            from rankspectral.experiments import _run_indexed
+
+            def worker(i):
+                if i == 3:
+                    os._exit(7)  # as a worker killed for memory would vanish
+                return (float(i),)
+
+            try:
+                _run_indexed(worker, 8, threads=2)
+            except ExperimentError as exc:
+                print(exc)
+            """,
+            checkout_env(),
+            timeout=120,
+        )
+        assert out.startswith("a replicate worker process died")
+
+    def test_forked_after_blas_threads_started(self):
+        # With no thread pins, OpenBLAS sizes its pool to the cores and starts
+        # it at the first large product; the workers fork from that state.
+        env = checkout_env()
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.pop(name, None)
+        out = run_script(
+            """
+            import numpy as np
+            from rankspectral import ExperimentConfig, rejection_rate_experiment
+
+            a = np.random.default_rng(0).random((600, 600))
+            print(float((a @ a).sum()) > 0)
+
+            def report(threads):
+                config = ExperimentConfig(
+                    experiment="two_block", n=120, replicates=6, master_seed=3,
+                    f1="normal(0,1)", f2="normal(1,1)", threads=threads,
+                )
+                r = rejection_rate_experiment(config)
+                parts = [r.to_json(include_elapsed=False).encode()]
+                parts += [r.arrays[k].tobytes() for k in sorted(r.arrays)]
+                return b"\\n".join(parts)
+
+            print(report(1) == report(2))
+            """,
+            env,
+        )
+        assert out.split() == ["True", "True"]
 
 
 class TestRejectionRateExperiment:
@@ -406,48 +479,58 @@ def test_normal_qq_points_gaussian_input():
     assert max(diffs) < 0.1
 
 
-@pytest.mark.parametrize(
-    "run",
-    [
-        pytest.param(
-            lambda threads: null_distribution_experiment(
-                n=15, replicates=8, seed=2, which="eigenvector", threads=threads
-            ),
-            id="null_distribution",
+EXPERIMENT_RUNS = [
+    pytest.param(
+        lambda threads: null_distribution_experiment(
+            n=15, replicates=8, seed=2, which="eigenvector", threads=threads
         ),
-        pytest.param(
-            lambda threads: variance_transition_experiment(
-                10, [0, 10, math.inf], 3, seed=3, threads=threads
-            ),
-            id="variance_transition",
+        id="null_distribution",
+    ),
+    pytest.param(
+        lambda threads: variance_transition_experiment(
+            10, [0, 10, math.inf], 3, seed=3, threads=threads
         ),
-        pytest.param(
-            lambda threads: operator_norm_tail_experiment(
-                n=12, replicates=6, seed=4, threads=threads
-            ),
-            id="operator_norm_tail",
+        id="variance_transition",
+    ),
+    pytest.param(
+        lambda threads: operator_norm_tail_experiment(
+            n=12, replicates=6, seed=4, threads=threads
         ),
-        pytest.param(
-            lambda threads: fk_comparison_experiment(n=12, replicates=8, seed=5, threads=threads),
-            id="fk_comparison",
+        id="operator_norm_tail",
+    ),
+    pytest.param(
+        lambda threads: fk_comparison_experiment(n=12, replicates=8, seed=5, threads=threads),
+        id="fk_comparison",
+    ),
+    pytest.param(
+        lambda threads: subspace_recovery_ratio_experiment(
+            n=12, mu=1.0, sigma=1.0, replicates=6, seed=6, threads=threads
         ),
-        pytest.param(
-            lambda threads: subspace_recovery_ratio_experiment(
-                n=12, mu=1.0, sigma=1.0, replicates=6, seed=6, threads=threads
-            ),
-            id="subspace_recovery_ratio",
+        id="subspace_recovery_ratio",
+    ),
+    pytest.param(
+        lambda threads: eigen_relationship_experiment(
+            [8, 12], replicates=4, seed=7, threads=threads
         ),
-        pytest.param(
-            lambda threads: eigen_relationship_experiment(
-                [8, 12], replicates=4, seed=7, threads=threads
-            ),
-            id="eigen_relationship",
-        ),
-    ],
-)
-def test_thread_count_invisible_in_every_experiment(run):
-    a, b = run(1), run(2)
+        id="eigen_relationship",
+    ),
+]
+
+
+def assert_same_report(a, b):
     assert a.to_json(include_elapsed=False) == b.to_json(include_elapsed=False)
     assert list(a.arrays) == list(b.arrays)
     for key in a.arrays:
         assert a.arrays[key].tobytes() == b.arrays[key].tobytes()
+
+
+@pytest.mark.parametrize("run", EXPERIMENT_RUNS)
+def test_thread_count_invisible_in_every_experiment(run):
+    assert_same_report(run(1), run(2))
+
+
+@pytest.mark.parametrize("run", EXPERIMENT_RUNS)
+def test_thread_route_gives_the_same_bits(run, monkeypatch):
+    # The route of platforms without fork: worker threads in this process.
+    monkeypatch.setattr(experiments, "_FORK_WORKERS", False)
+    assert_same_report(run(1), run(2))

@@ -19,6 +19,7 @@ from rankspectral import (
     MatrixSource,
     Normal,
     SymmetricMatrix,
+    TiePolicy,
     esd_from_eigenvalues,
     full_spectrum,
     leading_eigenpair,
@@ -112,6 +113,19 @@ class TestLeadingEigenpair:
         message = "no convergence in 10000 iterations (tol=1e-12); "
         with pytest.raises(ConvergenceError, match=f"^{re.escape(message)}"):
             leading_eigenpair(m)
+
+    @pytest.mark.parametrize("seed, largest", [(1, 34.426), (2, None), (3, None)])
+    def test_never_returns_a_negative_leading_value(self, seed, largest):
+        # A whitened rank matrix has no spike. At seeds 2 and 3 its most
+        # negative eigenvalue (-34.62, -34.16) outweighs its largest (33.62,
+        # 33.53), and the iteration would converge onto the negative one.
+        sample = sample_homogeneous(300, "uniform(0,1)", seed)
+        m = whiten(rank_transform(sample, TiePolicy.random(1)))
+        if largest is None:
+            with pytest.raises(ConvergenceError, match="negative eigenvalue .* dominates"):
+                leading_eigenpair(m)
+        else:
+            assert leading_eigenpair(m).value == pytest.approx(largest, abs=5e-4)
 
     def test_returns_frozen_pair(self):
         pair = leading_eigenpair(expectation_matrix(4))
