@@ -205,7 +205,7 @@ def _run_indexed(worker: Callable[[int], tuple], count: int, threads: int) -> li
     """
     if threads <= 1:
         return [_annotated(worker, i) for i in range(count)]
-    # Deferred: the pools' modules cost ~13 ms of import a serial run never needs.
+    # Deferred: the process pool's modules cost ~13 ms of import a serial run never needs.
     if not _FORK_WORKERS:
         from concurrent.futures import ThreadPoolExecutor
 
