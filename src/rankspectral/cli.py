@@ -23,7 +23,6 @@ from typing import NoReturn
 
 from .experiments import (
     ExperimentConfig,
-    ExperimentError,
     QQ_REPLICATES,
     TABLE_REPLICATES,
     null_distribution_experiment,
@@ -36,7 +35,6 @@ from .inference import run_test
 from .models import DistributionParseError
 from .ranking import TiePolicy, TieError
 from .reproduce import TARGETS, reproduce_target
-from .spectra import ConvergenceError
 from .symmetric import FORMATS, FormatError, MatrixSource, load_matrix
 
 EXIT_OK = 0
@@ -233,8 +231,6 @@ def main(argv: list[str] | None = None) -> int:
         _fail(type(exc).__name__, str(exc), EXIT_NOINPUT)
     except (ValueError, json.JSONDecodeError) as exc:
         _fail(type(exc).__name__, str(exc), EXIT_USAGE)
-    except (ConvergenceError, ExperimentError) as exc:
-        _fail(type(exc).__name__, str(exc), EXIT_INTERNAL)
     except Exception as exc:  # last resort: keep the record machine-parseable
         _fail(type(exc).__name__, str(exc), EXIT_INTERNAL)
 

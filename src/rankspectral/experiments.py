@@ -62,6 +62,17 @@ VARIANCE_REPLICATES = 3000
 
 _EXPERIMENTS = ("homogeneous", "two_block", "planted")
 
+_FIELD_TYPES = (
+    ("n", int, "an int"),
+    ("replicates", int, "an int"),
+    ("master_seed", int, "an int"),
+    ("threads", int, "an int"),
+    ("n1", int, "an int"),
+    ("alpha", (int, float), "a real number"),
+    ("f1", str, "a string"),
+    ("f2", str, "a string"),
+)
+
 
 class ExperimentError(RuntimeError):
     """A replicate failed; the message carries the replicate index."""
@@ -93,6 +104,13 @@ class ExperimentConfig:
             raise ValueError(
                 f"experiment must be one of {_EXPERIMENTS}, got {self.experiment!r}"
             )
+        # A JSON config can hold any type; refuse a wrong one before it is used.
+        for name, kinds, what in _FIELD_TYPES:
+            value = getattr(self, name)
+            if value is None and name in ("f1", "f2", "n1"):
+                continue  # checked below where the experiment needs it
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         _check_sizes(self.n, self.replicates)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
@@ -128,6 +146,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         names = {f.name: f.default for f in fields(cls)}
         unknown = set(data) - set(names)
         if unknown:
@@ -601,7 +621,10 @@ def subspace_recovery_ratio_experiment(
     def worker(i: int) -> tuple:
         seed_r = derive_seed(seed, i)
         matrix = sample_homogeneous(n, dist, seed_r)
-        raw_pair = leading_eigenpair(matrix)
+        # For mu < 0 the spike is the most negative eigenvalue: it is the
+        # largest of -M, with the same line (0.0 - keeps the diagonal +0.0).
+        raw = matrix if mu > 0 else SymmetricMatrix.adopt(n, 0.0 - matrix.blas)
+        raw_pair = leading_eigenpair(raw)
         ranked = rank_transform(matrix, TiePolicy.random(derive_seed(seed_r, 1)))
         rank_pair = leading_eigenpair(ranked)
         return (

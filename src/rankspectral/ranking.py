@@ -14,10 +14,8 @@ explicit seeded policy breaks them uniformly at random.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -136,8 +134,8 @@ def rank_transform(matrix: SymmetricMatrix, policy: TiePolicy | None = None) -> 
     Memory: on continuous data a call holds the buffer and temporaries of
     block size (1.07 x 8N at n = 2000), so a replicate holds about 16N
     bytes counting the caller's sample. When every entry is tied it also
-    holds the random positions, as int32 in n(n+1)/2 slots, and one batch
-    of runs (1.76 x 8N at n = 2000).
+    holds the random positions, as int32 in n(n+1)/2 slots, and the runs of
+    one block (1.72 x 8N at n = 2000).
     """
     n = matrix.n
     n_slots = n * (n + 1) // 2
@@ -210,25 +208,31 @@ class _Ties:
 def _sort_runs(matrix: SymmetricMatrix, keys: np.ndarray, bits: int, policy: TiePolicy) -> None:
     """Put each run of sorted value keys that share their high bits in exact value order.
 
-    The runs of consecutive blocks (:func:`_run_positions`) are re-sorted
-    together, in batches of up to _BLOCK entries or one block's runs, so
-    the temporaries stay of block size and sparse runs take few calls.
-    Raises TieError after the scan if the ``error`` policy met a tie.
+    The keys are scanned a block of about _BLOCK at a time, each block
+    extended to the last key that shares the high bits of its own last key,
+    so no run is split between two blocks; a block's runs are re-sorted at
+    once. Raises TieError after the scan if the ``error`` policy met a tie.
     """
     ties = _Ties(policy, matrix.n)
     low = (1 << bits) - 1
-    batch: list[np.ndarray] = []
-    size = 0
-    for at in itertools.chain(_run_positions(keys, bits), [None]):
-        if batch and (at is None or size + at.shape[0] > _BLOCK):
-            every = np.concatenate(batch)
-            batch, size = [], 0
-            run = keys[every]
-            keys[every] = run[_order_runs(matrix.blas, run & low, ties)]
-            del every, run
-        if at is not None:
-            batch.append(at)
-            size += at.shape[0]
+    lo = 0
+    while lo < keys.shape[0]:
+        hi = min(lo + _BLOCK, keys.shape[0])
+        # Extend the block past every key that shares its last key's high bits.
+        hi = int(np.searchsorted(keys, keys[hi - 1] | low, side="right"))
+        high = keys[lo:hi] >> bits
+        shared = high[1:] == high[:-1]
+        del high
+        if shared.any():
+            in_run = np.zeros(hi - lo, dtype=bool)
+            in_run[:-1] = shared
+            in_run[1:] |= shared
+            at = np.flatnonzero(in_run)
+            at += lo
+            del in_run
+            run = keys[at]
+            keys[at] = run[_order_runs(matrix.blas, run & low, ties)]
+        lo = hi
     if ties.count:
         value = ties.value
         if value == 0.0:
@@ -242,43 +246,8 @@ def _sort_runs(matrix: SymmetricMatrix, keys: np.ndarray, bits: int, policy: Tie
         )
 
 
-def _run_positions(keys: np.ndarray, bits: int) -> Iterator[np.ndarray]:
-    """The positions of the sorted keys that share their high bits with a neighbour.
-
-    Yielded a block at a time, each block of about _BLOCK keys extended to
-    the end of a run it would cut, so no run is split between two arrays.
-    """
-    lo = 0
-    while lo < keys.shape[0]:
-        hi = _run_end(keys, lo + _BLOCK, bits)
-        high = keys[lo:hi] >> bits
-        shared = high[1:] == high[:-1]
-        del high
-        if shared.any():
-            in_run = np.zeros(hi - lo, dtype=bool)
-            in_run[:-1] = shared
-            in_run[1:] |= shared
-            at = np.flatnonzero(in_run)
-            at += lo
-            yield at
-        lo = hi
-
-
-def _run_end(keys: np.ndarray, hi: int, bits: int) -> int:
-    """The first position from ``hi`` at which no run of sorted keys continues."""
-    while hi < keys.shape[0]:
-        if (int(keys[hi]) ^ int(keys[hi - 1])) >> bits:
-            return hi
-        high = keys[hi - 1 : hi + _BLOCK] >> bits
-        change = np.flatnonzero(high[1:] != high[:-1])
-        if change.size:
-            return hi + int(change[0])
-        hi += _BLOCK
-    return keys.shape[0]
-
-
 def _order_runs(a: np.ndarray, index: np.ndarray, ties: _Ties) -> np.ndarray:
-    """Exact order of one batch's collision-run slots ``index`` of ``a`` (in sorted-key order).
+    """Exact order of one block's collision-run slots ``index`` of ``a`` (in sorted-key order).
 
     Runs are disjoint value ranges in ascending order, so sorting all of
     their entries together by value keeps each run in its own positions.

@@ -17,6 +17,7 @@ where LAPACK needs it.
 
 from __future__ import annotations
 
+import array
 import functools
 import io
 import math
@@ -348,10 +349,13 @@ def _utf8_lines(data: bytes) -> IO[str]:
     """The lines of ``data`` as ``open(path, encoding="utf-8")`` yields them.
 
     An undecodable byte is a FormatError naming its line, with line breaks
-    counted as text mode counts them: LF, CRLF and a lone CR.
+    counted as text mode counts them: LF, CRLF and a lone CR. The text is
+    decoded once to check it and then read a chunk at a time from ``data``,
+    so no decoded copy of the whole file is kept.
     """
     try:
-        return io.StringIO(data.decode("utf-8"), newline=None)
+        data.decode("utf-8")
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None)
     except UnicodeDecodeError as exc:
         head = data[: exc.start]
         lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
@@ -565,7 +569,7 @@ def _parse_float(token: str, lineno: int) -> float:
 
 
 def _parse_dense_csv(fh: IO[str]) -> SymmetricMatrix:
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     width = None
     for lineno, line in _numbered_lines(fh):
         fields = [_parse_float(tok.strip(), lineno) for tok in line.split(",")]
@@ -575,7 +579,7 @@ def _parse_dense_csv(fh: IO[str]) -> SymmetricMatrix:
             raise FormatError(
                 f"line {lineno}: expected {width} columns, got {len(fields)}"
             )
-        rows.append(fields)
+        rows.append(np.array(fields))
     if not rows:
         raise FormatError("empty input")
     if len(rows) != width:
@@ -585,7 +589,7 @@ def _parse_dense_csv(fh: IO[str]) -> SymmetricMatrix:
 
 def _parse_upper_triangle(fh: IO[str]) -> SymmetricMatrix:
     n = None
-    values: list[float] = []
+    values = array.array("d")
     expected = None
     for lineno, line in _numbered_lines(fh):
         for token in line.split():
@@ -608,7 +612,7 @@ def _parse_upper_triangle(fh: IO[str]) -> SymmetricMatrix:
     assert expected is not None
     if len(values) != expected:
         raise FormatError(f"expected {expected} values for n={n}, got {len(values)}")
-    return SymmetricMatrix(n, np.array(values))
+    return SymmetricMatrix(n, np.frombuffer(values))
 
 
 def _parse_edge_list(fh: IO[str]) -> SymmetricMatrix:

@@ -321,6 +321,22 @@ class TestSimulateCommand:
         b.pop("elapsed_s")
         assert a == b
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"n": "50"}, {"n": 50.5}, {"master_seed": 1.5}, {"replicates": 2.5},
+         {"alpha": "0.05"}, {"f1": 5}, None],
+        ids=["n-str", "n-float", "seed-float", "replicates-float", "alpha-str", "f1-int", "array"],
+    )
+    def test_config_of_wrong_type_is_usage_error(self, tmp_path, capsys, fields):
+        config = {"experiment": "homogeneous", "n": 50, "replicates": 2, "master_seed": 1,
+                  "f1": "normal(0,1)"}
+        path = tmp_path / "config.json"
+        text = json.dumps([1, 2] if fields is None else {**config, **fields})
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == 64 and out == ""
+        assert_error_record(err, "ValueError")
+
     def test_config_conflicts_with_seed(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("{}", encoding="utf-8")

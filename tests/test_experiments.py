@@ -95,6 +95,19 @@ class TestExperimentConfig:
             small_config(experiment="planted", f2="normal(2,1)").validate()
         with pytest.raises(ValueError, match="1 <= n1 <= n"):
             small_config(experiment="planted", f2="normal(2,1)", n1=26).validate()
+        # Types as JSON can give them: an int field takes no bool, float or string.
+        for name in ("n", "replicates", "master_seed", "threads", "n1"):
+            for value in (True, 25.0, "25"):
+                with pytest.raises(ValueError, match=f"{name} must be an int"):
+                    small_config(**{name: value}).validate()
+        for value in ("0.05", False, None):
+            with pytest.raises(ValueError, match="alpha must be a real number"):
+                small_config(alpha=value).validate()
+        for name in ("f1", "f2"):
+            with pytest.raises(ValueError, match=f"{name} must be a string"):
+                small_config(**{name: 5}).validate()
+        with pytest.raises(ValueError, match="config must be a JSON object, got list"):
+            ExperimentConfig.from_dict([1, 2])
 
 
 class TestRunIndexed:
@@ -440,6 +453,16 @@ class TestSubspaceRecoveryRatioExperiment:
         assert s["limit"] == pytest.approx(1 / 3, rel=1e-12)
         assert 0.15 < s["ratio"] < 0.6
         assert s["mean_dist_rank"] < s["mean_dist_raw"]
+
+    def test_negative_mean_recovers_the_spike(self):
+        # The raw spike is the most negative eigenvalue; the ratio's limit
+        # depends on mu^2 only.
+        report = subspace_recovery_ratio_experiment(
+            n=200, mu=-1.0, sigma=1.0, replicates=20, seed=6
+        )
+        s = report.summary
+        assert s["limit"] == pytest.approx(1 / 3, rel=1e-12)
+        assert 0.25 < s["ratio"] < 0.42
 
     def test_rank_transform_loses_when_mean_dominates(self):
         # mu^2 > 3 sigma^2: raw matrix recovers the constant direction better.

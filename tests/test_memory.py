@@ -4,19 +4,21 @@ Each bound is a multiple of one packed array, 8N bytes with N = n(n-1)/2,
 measured with tracemalloc at n = 1000; the rank transform's tighter bounds
 are also measured at n = 2000, where its temporaries of a fixed block size
 weigh less. The result a call returns counts toward its peak, and the
-caller's input does not. One test reads the process's resident set
-instead: that an array freed goes back to the system.
+caller's input does not. One test reads a child process's peak resident
+set instead: that a serial Monte Carlo run's peak does not grow with its
+replicate count.
 """
 
 import math
-import platform
+import subprocess
+import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rankspectral import (
+    AsymmetryError,
     MatrixSource,
     SymmetricMatrix,
     TiePolicy,
@@ -31,6 +33,8 @@ from rankspectral import (
     save_matrix,
     whiten,
 )
+
+from conftest import checkout_env
 
 N_DIM = 1000
 ARRAY_BYTES = 8 * N_DIM * (N_DIM - 1) // 2
@@ -100,7 +104,7 @@ def test_rank_transform_holds_one_buffer():
 
 
 def test_rank_transform_of_tied_scores_holds_the_buffer_and_shuffle():
-    # The buffer, the int32 random positions by slot and one batch of runs.
+    # The buffer, the int32 random positions by slot and one block's runs.
     n = 2000
     scores = np.random.default_rng(7).integers(0, 100, size=n * (n - 1) // 2)
     matrix = SymmetricMatrix(n, scores.astype(np.float64))
@@ -141,21 +145,35 @@ def test_eigensolve_of_a_sample_packs_nothing():
     assert peak <= 0.05
 
 
-def rss_mb():
-    for line in Path("/proc/self/status").read_text().splitlines():
-        if line.startswith("VmRSS:"):
-            return int(line.split()[1]) / 1024
+SERIAL_RUN = """
+import resource, sys
+from rankspectral import null_distribution_experiment, variance_transition_experiment
+replicates = int(sys.argv[1])
+variance_transition_experiment(1000, [0, 1000, float("inf")], replicates, 1)
+null_distribution_experiment(1000, replicates, 2)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the mmap threshold is glibc's")
-def test_freed_arrays_go_back_to_the_system():
-    # After the first 16 MB block is freed, glibc's own sliding threshold
-    # would put the second in a heap that keeps its pages after the free.
-    for _ in range(2):
-        values = np.ones(2_000_000)
-        held = rss_mb()
-        del values
-        assert held - rss_mb() > 12
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_serial_peak_does_not_grow_with_replicates():
+    # Each replicate's arrays are freed before the next is drawn, and the
+    # allocator hands their room to the next: ten times the replicates per
+    # cell peak within one packed array of the few.
+    env = {**checkout_env(), "OPENBLAS_NUM_THREADS": "1"}
+    peaks = [
+        int(
+            subprocess.run(
+                [sys.executable, "-c", SERIAL_RUN, str(replicates)],
+                env=env,
+                check=True,
+                capture_output=True,
+                text=True,
+            ).stdout
+        )
+        for replicates in (3, 30)
+    ]
+    assert peaks[1] - peaks[0] <= ARRAY_BYTES / 1024
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +211,42 @@ def test_load_matrix_peak(matrix_files, format, bound):
     values, paths = matrix_files
     matrix, peak = peak_arrays(load_matrix, MatrixSource(format, paths[format]))
     assert matrix.values.tobytes() == values.tobytes()
+    assert peak <= bound
+
+
+def asymmetric_first_row(text):
+    first, rest = text.split(b"\n", 1)
+    return first.rsplit(b",", 1)[0] + b",1e6\n" + rest
+
+
+def load_or_error(source):
+    try:
+        return load_matrix(source)
+    except AsymmetryError as exc:
+        return exc
+
+
+@pytest.mark.parametrize(
+    "format, edit, bound",
+    [
+        # Entry (0, n-1) differs from (n-1, 0): the vectorized pass declines at
+        # the last row, and the line parser's rows and the error scan set the peak.
+        ("dense-csv", asymmetric_first_row, 20),
+        # A form feed is outside plain numeric text: a valid file, line by line.
+        ("upper-triangle-text", lambda text: text.replace(b"\n", b"\x0c\n", 1), 6),
+    ],
+)
+def test_line_parser_holds_the_file_once(matrix_files, tmp_path, format, edit, bound):
+    # The bytes, read lines a chunk at a time, and float64 values: no decoded
+    # copy of the file and no Python float per value.
+    values, paths = matrix_files
+    path = tmp_path / "declined.txt"
+    path.write_bytes(edit(paths[format].read_bytes()))
+    result, peak = peak_arrays(load_or_error, MatrixSource(format, path))
+    if format == "dense-csv":
+        assert isinstance(result, AsymmetryError)
+    else:
+        assert result.values.tobytes() == values.tobytes()
     assert peak <= bound
 
 

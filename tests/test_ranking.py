@@ -288,7 +288,7 @@ class TestBlasLayout:
 
     @pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
     def test_runs_scanned_in_small_blocks(self, block, monkeypatch):
-        # Runs that cross block ends, batches of several blocks' runs, and a
+        # Runs that cross block ends, a block extended over the next ones, and a
         # tie count and first tied value carried over blocks.
         monkeypatch.setattr(ranking, "_BLOCK", block)
         for n in (2, 5, 60):
