@@ -5,8 +5,8 @@ measured with tracemalloc at n = 1000; the rank transform's tighter bounds
 are also measured at n = 2000, where its temporaries of a fixed block size
 weigh less. The result a call returns counts toward its peak, and the
 caller's input does not. One test reads a child process's peak resident
-set instead: that a serial Monte Carlo run's peak does not grow with its
-replicate count.
+set (VmHWM) instead: that a serial Monte Carlo run's peak does not grow
+with its replicate count.
 """
 
 import math
@@ -145,17 +145,20 @@ def test_eigensolve_of_a_sample_packs_nothing():
     assert peak <= 0.05
 
 
+# The child's own peak RSS in KiB. Not ru_maxrss: on Linux a child started
+# with exec reports at least its parent's peak there, so every child of this
+# test process would read the same.
 SERIAL_RUN = """
-import resource, sys
+import sys
 from rankspectral import null_distribution_experiment, variance_transition_experiment
 replicates = int(sys.argv[1])
 variance_transition_experiment(1000, [0, 1000, float("inf")], replicates, 1)
 null_distribution_experiment(1000, replicates, 2)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 def test_serial_peak_does_not_grow_with_replicates():
     # Each replicate's arrays are freed before the next is drawn, and the
     # allocator hands their room to the next: ten times the replicates per
