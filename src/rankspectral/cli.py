@@ -92,7 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--replicates", type=int, default=TABLE_REPLICATES)
     p_sim.add_argument("--alpha", type=float, default=0.05)
     p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+    p_sim.add_argument(
+        "--threads", type=int, help=_THREADS_HELP + "; default 1, or the --config file's"
+    )
     p_sim.add_argument("--dump", help="per-replicate CSV path")
     p_sim.add_argument("--out", help="write the report JSON here instead of stdout")
     p_sim.set_defaults(func=cmd_simulate)
@@ -150,7 +152,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 EXIT_USAGE,
             )
         config = ExperimentConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
-        config.threads = args.threads
+        if args.threads is not None:
+            config.threads = args.threads
     else:
         if args.model is None:
             _fail("UsageError", "a model (or --config) is required", EXIT_USAGE)
@@ -174,7 +177,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f1=args.distributions[0],
             f2=args.distributions[1] if wanted == 2 else None,
             n1=args.n1,
-            threads=args.threads,
+            threads=1 if args.threads is None else args.threads,
         )
     report = rejection_rate_experiment(config, dump_path=args.dump)
     _write_text(args.out, report.to_json() + "\n")

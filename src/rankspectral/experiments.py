@@ -221,9 +221,12 @@ def _run_indexed(worker: Callable[[int], tuple], count: int, threads: int) -> li
 
     With ``threads`` > 1 the replicates run in that many forked processes
     (threads where fork is not used). A worker process that dies, say killed
-    for memory, is an :class:`ExperimentError`, not a hang.
+    for memory, is an :class:`ExperimentError`, not a hang. ``threads`` < 1
+    is refused before any replicate runs.
     """
-    if threads <= 1:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    if threads == 1:
         return [_annotated(worker, i) for i in range(count)]
     # Deferred: the process pool's modules cost ~13 ms of import a serial run never needs.
     if not _FORK_WORKERS:

@@ -79,8 +79,6 @@ def table1_k_grid(n: int) -> list[tuple[str, float]]:
 
 
 def _effective(replicates: int, scale: float) -> int:
-    if not scale > 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
     return max(1, round(replicates * scale))
 
 
@@ -91,9 +89,17 @@ def reproduce_target(
     scale: float = 1.0,
     threads: int = 1,
 ) -> list[Path]:
-    """Run one reproduction target; returns the paths written."""
+    """Run one reproduction target; returns the paths written.
+
+    ``scale`` > 0 and ``threads`` >= 1 are checked before the output
+    directory is made.
+    """
     if target not in TARGETS:
         raise ValueError(f"unknown target {target!r}; expected one of {TARGETS}")
+    if not scale > 0:  # also refuses nan, which JSON cannot echo
+        raise ValueError(f"scale must be > 0, got {scale}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     drivers = {

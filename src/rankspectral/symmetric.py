@@ -23,7 +23,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -179,29 +179,14 @@ class SymmetricMatrix:
 
         The array must be symmetric within ``|A_ij - A_ji| <= 1e-9 *
         max(1, |A_ij|)`` entrywise; the two triangles are averaged and the
-        diagonal is discarded.
-
-        The rows are folded one at a time into the row-major tail of the
-        result's buffer (see ``_merge_rows``), then spread into place, so no
-        n x n temporary is made. Only an asymmetric array is scanned whole
-        again, to name its worst pair.
+        diagonal is discarded. The array is one block for ``_fold_rows``: no
+        n x n temporary is made, and an asymmetric array's error names its
+        worst pair without a second scan.
         """
         arr = np.asarray(array, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise FormatError(f"expected a square array, got shape {arr.shape}")
-        n = arr.shape[0]
-        if n < 2:
-            raise FormatError(f"dimension must be >= 2, got n={n}")
-        blas = np.empty(n * (n + 1) // 2)
-        if not _merge_rows(blas[n:], arr, 0):
-            gap = np.abs(arr - arr.T)
-            bound = _SYMMETRY_RTOL * np.maximum(1.0, np.abs(arr))
-            i, j = np.unravel_index(int(np.argmax(gap - bound)), arr.shape)
-            raise AsymmetryError(
-                f"entries ({i},{j}) and ({j},{i}) differ by {gap[i, j]:.3e}, "
-                f"beyond tolerance {bound[i, j]:.3e}"
-            )
-        return SymmetricMatrix.adopt(n, spread_rows(blas, n))
+        return _fold_rows((arr,))
 
     def dense(self) -> np.ndarray:
         """Materialize the full n x n array, a row of the upper triangle at a time."""
@@ -222,35 +207,67 @@ class SymmetricMatrix:
         return f"{type(self).__name__}(n={self.n})"
 
 
-def _merge_rows(values: np.ndarray, rows: np.ndarray, first: int) -> bool:
-    """Fold rows ``first``, ``first + 1``, ... of a dense n x n array into ``values``.
+def _fold_rows(blocks: Iterable[np.ndarray], size: float = math.inf) -> SymmetricMatrix:
+    """Fold a dense array's rows, in blocks of whole rows, into a matrix of the first's width n.
 
-    Row g's upper part fills its packed segment. Its lower part meets the
-    entries (j, g), j < g, that rows before it stored, and each such pair
-    keeps what :meth:`SymmetricMatrix.from_dense` makes of it: the stored
-    entry itself when the two are equal, so saving and reloading is
-    bit-exact, else their mean, halved before adding to avoid overflow.
-    Returns False, with ``values`` part written,
-    at the first row holding a pair farther apart than ``_SYMMETRY_RTOL *
-    max(1, |entry|)`` for either of its two entries.
+    Each row goes into the row-major tail of the result's buffer as it
+    arrives, and the buffer is spread into place at the end: no n x n array
+    is made. Row g's lower part meets the entries (j, g), j < g, stored
+    before it; a pair keeps the stored entry when the two are equal, so
+    saving and reloading is bit-exact, else their mean, halved before adding
+    to avoid overflow. The AsymmetryError names the pair with the largest
+    positive excess of its gap over ``_SYMMETRY_RTOL * max(1, |entry|)`` for
+    either entry, the first in the n x n array's row-major order on a tie.
+
+    n rows of n tokens need 2 n^2 - 1 characters, so a first row too wide
+    for ``size`` characters makes no buffer and the rows are only counted.
+    Raises FormatError for a block of another width, then, once every row is
+    read, for no rows, a row count other than n and n < 2; last, AsymmetryError.
     """
-    n = rows.shape[1]
-    offsets = row_offsets(n)
-    for g, row in enumerate(rows, start=first):
-        start = offsets[g] + g + 1
-        values[start : start + n - 1 - g] = row[g + 1 :]
-        at = offsets[:g] + g
-        upper = values[at]
-        lower = row[:g]
-        if np.array_equal(upper, lower):
-            continue
-        gap = np.abs(upper - lower)
-        if np.any(gap > _SYMMETRY_RTOL * np.maximum(1.0, np.abs(upper))) or np.any(
-            gap > _SYMMETRY_RTOL * np.maximum(1.0, np.abs(lower))
-        ):
-            return False
-        values[at] = np.where(upper == lower, upper, 0.5 * upper + 0.5 * lower)
-    return True
+    count, n, blas = 0, None, None
+    worst = (0.0, 0, 0.0, 0.0)  # (excess, -index, gap, bound) of the worst pair so far
+    for block in blocks:
+        if n is None:
+            n = block.shape[1]
+            if 2 * n * n - 1 <= size:
+                blas = np.empty(n * (n + 1) // 2)
+                offsets = row_offsets(n) + n  # of the row-major tail blas[n:]
+        if block.shape[1] != n:
+            raise FormatError(f"expected {n} columns, got {block.shape[1]}")
+        for g, row in enumerate(block, start=count):
+            if blas is None or g >= n:
+                break
+            start = offsets[g] + g + 1
+            blas[start : start + n - 1 - g] = row[g + 1 :]
+            at = offsets[:g] + g
+            upper = blas[at]
+            lower = row[:g]
+            if np.array_equal(upper, lower):
+                continue
+            gap = np.abs(upper - lower)
+            # Entry (j, g) of the n x n array is at j n + g, and (g, j) at g n + j.
+            for entry, step, first in ((upper, n, g), (lower, 1, g * n)):
+                bound = _SYMMETRY_RTOL * np.maximum(1.0, np.abs(entry))
+                excess = gap - bound
+                # fmax maps nan, from a non-finite entry, to 0: never the worst.
+                j = int(np.argmax(np.fmax(excess, 0.0)))
+                if excess[j] > 0:
+                    worst = max(worst, (excess[j], -(j * step + first), gap[j], bound[j]))
+            blas[at] = np.where(upper == lower, upper, 0.5 * upper + 0.5 * lower)
+        count += block.shape[0]
+    if n is None:
+        raise FormatError("empty input")
+    if count != n:
+        raise FormatError(f"expected a square matrix, got {count} rows x {n} columns")
+    if n < 2:
+        raise FormatError(f"dimension must be >= 2, got n={n}")
+    if worst[0] > 0:
+        _, index, gap, bound = worst
+        i, j = divmod(-index, n)
+        raise AsymmetryError(
+            f"entries ({i},{j}) and ({j},{i}) differ by {gap:.3e}, beyond tolerance {bound:.3e}"
+        )
+    return SymmetricMatrix.adopt(n, spread_rows(blas, n))
 
 
 @dataclass(frozen=True)
@@ -349,12 +366,12 @@ def _utf8_lines(data: bytes) -> IO[str]:
     """The lines of ``data`` as ``open(path, encoding="utf-8")`` yields them.
 
     An undecodable byte is a FormatError naming its line, with line breaks
-    counted as text mode counts them: LF, CRLF and a lone CR. The text is
-    decoded once to check it and then read a chunk at a time from ``data``,
-    so no decoded copy of the whole file is kept.
+    counted as text mode counts them: LF, CRLF and a lone CR. Only text that
+    is not ASCII is decoded, once, to check it; lines are then read a chunk
+    at a time from ``data``, so no decoded copy of the whole file is kept.
     """
     try:
-        data.decode("utf-8")
+        data.isascii() or data.decode("utf-8")
         return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None)
     except UnicodeDecodeError as exc:
         head = data[: exc.start]
@@ -422,31 +439,17 @@ def _blocks(fh: IO[bytes], plain: bytes) -> Iterator[bytes]:
 
 
 def _fast_dense(fh: IO[bytes]) -> SymmetricMatrix:
-    size = fh.seek(0, io.SEEK_END)
-    values = None
-    n = filled = 0
-    for block in _blocks(fh, _PLAIN_BYTES + b","):
-        rows = np.loadtxt(io.BytesIO(block), delimiter=",", comments=None, ndmin=2)
-        if values is None:
-            n = rows.shape[1]
-            # n^2 tokens need 2n^2 - 1 bytes: a file too short for its first
-            # row's width is declined before anything of size N exists.
-            if n < 2 or 2 * n * n - 1 > size:
-                raise FormatError("not a square matrix")
-            blas = np.empty(n * (n + 1) // 2)
-            values = blas[n:]
-        if rows.shape[1] != n or filled + rows.shape[0] > n:
-            raise FormatError("not a square matrix")
-        # from_dense drops the diagonal, where the line parser still
-        # rejects an overflowing token such as 1e400.
-        if not np.isfinite(rows).all():
-            raise FormatError("non-finite value")
-        if not _merge_rows(values, rows, filled):
-            raise FormatError("asymmetric")
-        filled += rows.shape[0]
-    if values is None or filled != n:
-        raise FormatError("not a square matrix")
-    return SymmetricMatrix.adopt(n, spread_rows(blas, n))
+    def row_blocks() -> Iterator[np.ndarray]:
+        for block in _blocks(fh, _PLAIN_BYTES + b","):
+            rows = np.loadtxt(io.BytesIO(block), delimiter=",", comments=None, ndmin=2)
+            # from_dense drops the diagonal, where the line parser still
+            # rejects an overflowing token such as 1e400.
+            if not np.isfinite(rows).all():
+                raise FormatError("non-finite value")
+            yield rows
+
+    # A file too short for its first row's width makes nothing of size N.
+    return _fold_rows(row_blocks(), fh.seek(0, io.SEEK_END))
 
 
 def _fast_upper_triangle(fh: IO[bytes]) -> SymmetricMatrix:
@@ -569,22 +572,18 @@ def _parse_float(token: str, lineno: int) -> float:
 
 
 def _parse_dense_csv(fh: IO[str]) -> SymmetricMatrix:
-    rows: list[np.ndarray] = []
-    width = None
-    for lineno, line in _numbered_lines(fh):
-        fields = [_parse_float(tok.strip(), lineno) for tok in line.split(",")]
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise FormatError(
-                f"line {lineno}: expected {width} columns, got {len(fields)}"
-            )
-        rows.append(np.array(fields))
-    if not rows:
-        raise FormatError("empty input")
-    if len(rows) != width:
-        raise FormatError(f"expected a square matrix, got {len(rows)} rows x {width} columns")
-    return SymmetricMatrix.from_dense(np.array(rows))
+    def rows() -> Iterator[np.ndarray]:
+        fh.seek(0)
+        width = None
+        for lineno, line in _numbered_lines(fh):
+            fields = [_parse_float(tok.strip(), lineno) for tok in line.split(",")]
+            if width is None:
+                width = len(fields)
+            elif len(fields) != width:
+                raise FormatError(f"line {lineno}: expected {width} columns, got {len(fields)}")
+            yield np.array(fields, ndmin=2)
+
+    return _fold_rows(rows(), fh.seek(0, io.SEEK_END))
 
 
 def _parse_upper_triangle(fh: IO[str]) -> SymmetricMatrix:

@@ -337,6 +337,23 @@ class TestSimulateCommand:
         assert code == 64 and out == ""
         assert_error_record(err, "ValueError")
 
+    @pytest.mark.parametrize("argv, threads", [([], 3), (["--threads", "2"], 2)])
+    def test_config_file_threads_unless_given(self, tmp_path, capsys, monkeypatch, argv, threads):
+        seen = []
+
+        def fake_experiment(config, dump_path=None):
+            seen.append(config.threads)
+            raise SystemExit(0)
+
+        monkeypatch.setattr("rankspectral.cli.rejection_rate_experiment", fake_experiment)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"experiment": "homogeneous", "n": 20, "replicates": 2,
+                                    "master_seed": 1, "f1": "normal(0,1)", "threads": 3}))
+        run_cli(["simulate", "--config", str(path), *argv], capsys)
+        run_cli(["simulate", "homogeneous", "normal(0,1)", "--n", "20", "--seed", "1", *argv],
+                capsys)
+        assert seen == [threads, 1 if not argv else threads]
+
     def test_config_conflicts_with_seed(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("{}", encoding="utf-8")
@@ -386,6 +403,22 @@ class TestReproduceCommand:
         assert code == 64
         message = assert_error_record(err, "UsageError")
         assert "--seed" in message
+
+    @pytest.mark.parametrize(
+        "target, option, value",
+        [("fig1", "--scale", "0"), ("fig1", "--scale", "-1"), ("fig1", "--scale", "nan"),
+         ("table1", "--scale", "0"), ("fig1", "--threads", "0"), ("fig2", "--threads", "-4")],
+    )
+    def test_bad_scale_or_threads_is_refused_before_any_output(
+        self, tmp_path, capsys, target, option, value
+    ):
+        out = tmp_path / "repro"
+        code, stdout, err = run_cli(
+            ["reproduce", target, "--seed", "1", option, value, "--out", str(out)], capsys
+        )
+        assert code == 64 and stdout == ""
+        assert option[2:] in assert_error_record(err, "ValueError")
+        assert not out.exists()
 
     def test_fig2_tiny_scale(self, tmp_path, capsys):
         code, out, err = run_cli(
@@ -464,6 +497,15 @@ class TestQQCommand:
         )
         assert code == 64
         assert_error_record(err, "UsageError")
+
+    def test_threads_below_one_is_usage_error(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            ["qq", "--n", "30", "--seed", "1", "--threads", "0", "--out", str(tmp_path / "qq")],
+            capsys,
+        )
+        assert code == 64 and out == ""
+        assert assert_error_record(err, "ValueError") == "threads must be >= 1, got 0"
+        assert not (tmp_path / "qq").exists()
 
 
 def test_no_subcommand_is_usage_error(capsys):

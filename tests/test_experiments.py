@@ -126,6 +126,15 @@ class TestRunIndexed:
         with pytest.raises(ExperimentError, match="replicate 3 failed"):
             _run_indexed(worker, 5, threads=2)
 
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_fewer_than_one_thread_is_refused_before_any_replicate(self, threads):
+        ran = []
+        with pytest.raises(ValueError, match=f"^threads must be >= 1, got {threads}$"):
+            _run_indexed(lambda i: ran.append(i) or (i,), 3, threads)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            null_distribution_experiment(n=10, replicates=2, seed=1, threads=threads)
+        assert ran == []
+
 
 def run_script(source: str, env: dict, timeout: float = 300) -> str:
     """Stdout of ``source`` run in a fresh interpreter; fails on error or timeout."""

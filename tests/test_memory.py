@@ -222,19 +222,25 @@ def asymmetric_first_row(text):
     return first.rsplit(b",", 1)[0] + b",1e6\n" + rest
 
 
-def load_or_error(source):
-    try:
-        return load_matrix(source)
-    except AsymmetryError as exc:
-        return exc
+def or_asymmetry(fn):
+    """``fn``, returning the AsymmetryError it raises instead of raising it."""
+
+    def call(*args):
+        try:
+            return fn(*args)
+        except AsymmetryError as exc:
+            return exc
+
+    return call
 
 
 @pytest.mark.parametrize(
     "format, edit, bound",
     [
-        # Entry (0, n-1) differs from (n-1, 0): the vectorized pass declines at
-        # the last row, and the line parser's rows and the error scan set the peak.
-        ("dense-csv", asymmetric_first_row, 20),
+        # Entry (0, n-1) differs from (n-1, 0): the vectorized pass declines
+        # after its last row, and the line parser holds the file's bytes and
+        # the result's buffer.
+        ("dense-csv", asymmetric_first_row, 7),
         # A form feed is outside plain numeric text: a valid file, line by line.
         ("upper-triangle-text", lambda text: text.replace(b"\n", b"\x0c\n", 1), 6),
     ],
@@ -245,7 +251,7 @@ def test_line_parser_holds_the_file_once(matrix_files, tmp_path, format, edit, b
     values, paths = matrix_files
     path = tmp_path / "declined.txt"
     path.write_bytes(edit(paths[format].read_bytes()))
-    result, peak = peak_arrays(load_or_error, MatrixSource(format, path))
+    result, peak = peak_arrays(or_asymmetry(load_matrix), MatrixSource(format, path))
     if format == "dense-csv":
         assert isinstance(result, AsymmetryError)
     else:
@@ -264,9 +270,15 @@ def test_edge_list_load_keeps_int32_indices(matrix_files):
 
 
 def test_from_dense_peak(matrix_files):
-    # The packed values alone: no n x n temporary and no copy of them.
+    # The packed values alone: no n x n temporary and no copy of them, and
+    # none either to name the worst pair of an asymmetric array.
     values, _ = matrix_files
     dense = SymmetricMatrix(N_DIM, values).dense()
     matrix, peak = peak_arrays(SymmetricMatrix.from_dense, dense)
     assert matrix.values.tobytes() == values.tobytes()
+    assert peak <= 1.15
+    dense[N_DIM - 1, 0] += 1.0
+    error, peak = peak_arrays(or_asymmetry(SymmetricMatrix.from_dense), dense)
+    assert isinstance(error, AsymmetryError)
+    assert str(error).startswith(f"entries (0,{N_DIM - 1}) and ({N_DIM - 1},0) differ by ")
     assert peak <= 1.15

@@ -69,6 +69,18 @@ class TestProtocolDefinitions:
         with pytest.raises(ValueError, match="scale"):
             reproduce_target("fig2", seed=1, out_dir=tmp_path, scale=0.0)
 
+    @pytest.mark.parametrize("target", ["fig1", "fig2", "table1"])
+    @pytest.mark.parametrize(
+        "args, match",
+        [({"scale": 0.0}, "scale"), ({"scale": -1.0}, "scale"), ({"scale": math.nan}, "scale"),
+         ({"threads": 0}, "threads"), ({"threads": -4}, "threads")],
+    )
+    def test_arguments_are_refused_before_the_output_directory(self, tmp_path, target, args, match):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=match):
+            reproduce_target(target, seed=1, out_dir=out, **args)
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):

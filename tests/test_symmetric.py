@@ -763,6 +763,38 @@ def test_asymmetry_in_a_later_block_gets_the_line_parsers_error(tmp_path, monkey
     )
 
 
+@pytest.mark.parametrize("seed", range(24))
+def test_asymmetry_error_names_the_worst_pair(seed):
+    # Several bad pairs, against a scan of the whole n x n array. Odd seeds
+    # hold eighths in [-1, 1], where max(1, |x|) clamps, each bad pair off by
+    # the same 2^-20: every excess ties, in both orientations of a pair and
+    # across pairs, and the first in row-major order is named.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 12))
+    if seed % 2:
+        a = np.triu(rng.integers(-8, 9, (n, n)) / 8, 1)
+        a += a.T
+        offsets = [2.0**-20] * 4
+    else:
+        a = random_symmetric(n, seed, low=-3.0, high=3.0).dense()
+        offsets = rng.choice([1e-6, -2e-6, 3e-6, 5e-7], 4)
+    for offset in offsets:
+        i, j = rng.choice(n, 2, replace=False)
+        a[i, j] += offset
+    gap = np.abs(a - a.T)
+    bound = symmetric._SYMMETRY_RTOL * np.maximum(1, np.abs(a))
+    i, j = np.unravel_index(np.argmax(gap - bound), a.shape)
+    message = (
+        f"entries ({i},{j}) and ({j},{i}) differ by {gap[i, j]:.3e}, "
+        f"beyond tolerance {bound[i, j]:.3e}"
+    )
+    text = "".join(",".join(map(repr, row)) + "\n" for row in a.tolist())
+    with pytest.raises(AsymmetryError, match=f"^{re.escape(message)}$"):
+        SymmetricMatrix.from_dense(a)
+    with pytest.raises(AsymmetryError, match=f"^{re.escape(message)}$"):
+        symmetric._parse("dense-csv", io.StringIO(text))
+
+
 def test_dimension_too_large_for_the_file_declines_before_allocating(tmp_path):
     raw = b"100000000\n0.5\n0.25\n"
     tracemalloc.start()
@@ -780,7 +812,7 @@ def test_dimension_too_large_for_the_file_declines_before_allocating(tmp_path):
         load_matrix(MatrixSource(format="upper-triangle-text", path=path))
 
 
-def test_dense_row_too_wide_for_the_file_declines_before_allocating():
+def test_dense_row_too_wide_for_the_file_declines_before_allocating(tmp_path):
     raw = (",".join(["0"] * 100_000) + "\n").encode("ascii")
     tracemalloc.start()
     try:
@@ -790,6 +822,20 @@ def test_dense_row_too_wide_for_the_file_declines_before_allocating():
         tracemalloc.stop()
     assert fast is None
     assert peak < 8 << 20  # the packed array would be 40 GB
+    # The line parser reads the whole text for its errors, and only counts
+    # rows too wide for it: no buffer of the first row's size either.
+    path = tmp_path / "wide.csv"
+    path.write_bytes(raw + b"0,1\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="^line 2: expected 100000 columns, got 2$"):
+            load_matrix(MatrixSource(format="dense-csv", path=path))
+        with pytest.raises(FormatError, match="^expected a square matrix, got 2 rows x 100000"):
+            symmetric._parse("dense-csv", io.StringIO(2 * raw.decode("ascii")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 class TestShuffledEdgeList:

@@ -8,13 +8,14 @@ and after. Covered outputs:
 - the per-replicate dump CSVs of the rejection-rate and null experiments;
 - the files written by the CLI's ``esd``, ``qq`` and ``simulate``;
 - the CLI's ``test`` report on a seeded n=300 matrix in each text format,
-  with LF and with CRLF line ends, and as upper-triangle text with form
-  feeds among its separators (read by the line parser), on a file of tied
-  integer scores with ``--ties random``, and the exit code and stderr record
-  of an asymmetric dense file and of the tied file and its scores plus one
-  under the default ``--ties error``. The files are written here with
-  ``repr`` of each float, not with ``save_matrix``, so a change to the
-  writer cannot change the input;
+  with LF and with CRLF line ends, and as upper-triangle text and as dense
+  CSV with form feeds among its separators (read by the line parser), on a
+  file of tied integer scores with ``--ties random``, and the exit code and
+  stderr record of two asymmetric dense files (one bad pair; a small bad
+  pair in an early row and a larger one in the last row) and of the tied
+  file and its scores plus one under the default ``--ties error``. The
+  files are written here with ``repr`` of each float, not with
+  ``save_matrix``, so a change to the writer cannot change the input;
 - for each of those ``test`` input files, the bytes of ``load_matrix(...).values``
   and of ``rank_transform(..., policy).values`` under the run's tie policy, or
   the error either one raises, so parse results and ranks are checked on
@@ -235,6 +236,13 @@ def cli_test_runs(out: Path) -> list[tuple[str, list[str], Path]]:
     rows = [line.split(",") for line in _text_lines("dense-csv", tokens)]
     rows[-1][2] = repr(float(rows[-1][2]) + 1e-3)
     add("asymmetric", "dense-csv", [",".join(row) for row in rows], "\n")
+    # A small excess in row 5 and a larger one in the last row: the error
+    # names the worst pair, not the first.
+    rows[5][2] = repr(float(rows[5][2]) + 1e-6)
+    add("asymmetric-two-pairs", "dense-csv", [",".join(row) for row in rows], "\n")
+    # A valid dense file with form feeds after some commas, read by the line parser only.
+    dense = _text_lines("dense-csv", tokens)
+    add("dense-csv-formfeed", "dense-csv", [line.replace(",", ",\x0c", 3) for line in dense], "\n")
     # A form feed is outside plain numeric text, so only the line parser reads this file.
     pairs = ["\x0c".join(tokens[i : i + 2]) for i in range(0, n_pairs, 2)]
     add("upper-triangle-formfeed", "upper-triangle-text", [str(TEST_N), *pairs], "\n")
