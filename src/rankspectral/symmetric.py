@@ -573,7 +573,7 @@ def _parse_float(token: str, lineno: int) -> float:
 
 def _parse_dense_csv(fh: IO[str]) -> SymmetricMatrix:
     def rows() -> Iterator[np.ndarray]:
-        fh.seek(0)
+        fh.seek(0)  # from the end, where measuring its size left it
         width = None
         for lineno, line in _numbered_lines(fh):
             fields = [_parse_float(tok.strip(), lineno) for tok in line.split(",")]

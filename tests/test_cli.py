@@ -337,8 +337,10 @@ class TestSimulateCommand:
         assert code == 64 and out == ""
         assert_error_record(err, "ValueError")
 
-    @pytest.mark.parametrize("argv, threads", [([], 3), (["--threads", "2"], 2)])
-    def test_config_file_threads_unless_given(self, tmp_path, capsys, monkeypatch, argv, threads):
+    @pytest.mark.parametrize("argv, from_file, positional", [([], 3, 1), (["--threads", "2"], 2, 2)])
+    def test_config_file_threads_unless_given(
+        self, tmp_path, capsys, monkeypatch, argv, from_file, positional
+    ):
         seen = []
 
         def fake_experiment(config, dump_path=None):
@@ -352,7 +354,7 @@ class TestSimulateCommand:
         run_cli(["simulate", "--config", str(path), *argv], capsys)
         run_cli(["simulate", "homogeneous", "normal(0,1)", "--n", "20", "--seed", "1", *argv],
                 capsys)
-        assert seen == [threads, 1 if not argv else threads]
+        assert seen == [from_file, positional]
 
     def test_config_conflicts_with_seed(self, tmp_path, capsys):
         path = tmp_path / "config.json"

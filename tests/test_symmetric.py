@@ -767,8 +767,8 @@ def test_asymmetry_in_a_later_block_gets_the_line_parsers_error(tmp_path, monkey
 def test_asymmetry_error_names_the_worst_pair(seed):
     # Several bad pairs, against a scan of the whole n x n array. Odd seeds
     # hold eighths in [-1, 1], where max(1, |x|) clamps, each bad pair off by
-    # the same 2^-20: every excess ties, in both orientations of a pair and
-    # across pairs, and the first in row-major order is named.
+    # the same 2^-20: excesses tie, in both orientations of a pair and across
+    # pairs, and the first in row-major order is named.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 12))
     if seed % 2:
