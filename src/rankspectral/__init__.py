@@ -13,7 +13,6 @@ from .symmetric import (
     MatrixSource,
     SymmetricMatrix,
     load_matrix,
-    pack_index,
     pair_indices,
     save_matrix,
 )
@@ -119,7 +118,6 @@ __all__ = [
     "normal_qq_points",
     "null_distribution_experiment",
     "operator_norm_tail_experiment",
-    "pack_index",
     "pair_indices",
     "parse_distribution",
     "rank_transform",

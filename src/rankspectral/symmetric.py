@@ -5,7 +5,7 @@ lower-packed layout of BLAS ``dspmv`` (``lower=1``): n(n+1)/2 slots, where
 row i is its diagonal +0.0 at slot ``diagonal_slots(n)[i]`` = i n - i(i-1)/2
 followed by row i's entries right of the diagonal. Row-major order is only
 the order of the N = n(n-1)/2 strict upper-triangle entries in ``values``,
-in files and in ``pack_index``, that of ``np.triu_indices(n, 1)``: entry
+and in files, that of ``np.triu_indices(n, 1)``: entry
 (i, j), i < j, at ``row_offsets(n)[i] + j``, which is its slot less i + 1.
 ``dspmv`` sums the upper-packed layout (``lower=0``) in another order, so an
 eigenpair computed from that layout can differ from this one's in its last
@@ -17,13 +17,12 @@ where LAPACK needs it.
 
 from __future__ import annotations
 
-import array
 import functools
 import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -40,29 +39,6 @@ class AsymmetryError(FormatError):
     """Dense input violates the symmetry tolerance."""
 
 
-def pack_index(i: int, j: int, n: int) -> int:
-    """Map the pair (i, j), i < j, to its packed position.
-
-    Parameters
-    ----------
-    i, j : int
-        Zero-based indices with 0 <= i < j < n.
-    n : int
-        Matrix dimension.
-
-    Returns
-    -------
-    int
-        Position k in [0, n(n-1)/2) such that pair (i, j) is the k-th strict
-        upper-triangle entry in row-major order.
-    """
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got n={n}")
-    if not (0 <= i < j < n):
-        raise ValueError(f"need 0 <= i < j < n, got i={i}, j={j}, n={n}")
-    return i * (2 * n - i - 1) // 2 + (j - i - 1)
-
-
 def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column index arrays of the strict upper triangle, pack order."""
     if n < 2:
@@ -71,7 +47,7 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def row_offsets(n: int) -> np.ndarray:
-    """offsets[i] = pack_index(i, j, n) - j, i = 0..n-1: row i's row-major offset."""
+    """offsets[i] = i(2n - i - 1)/2 - i - 1: pair (i, j), i < j, is at row-major offsets[i] + j."""
     i = np.arange(n)
     return i * (2 * n - i - 1) // 2 - i - 1
 
@@ -221,8 +197,8 @@ def _fold_rows(blocks: Iterable[np.ndarray], size: float = math.inf) -> Symmetri
 
     n rows of n tokens need 2 n^2 - 1 characters, so a first row too wide
     for ``size`` characters makes no buffer and the rows are only counted.
-    Raises FormatError for a block of another width, then, once every row is
-    read, for no rows, a row count other than n and n < 2; last, AsymmetryError.
+    Every block must be n wide. Raises FormatError, once every row is read,
+    for no rows, a row count other than n and n < 2; last, AsymmetryError.
     """
     count, n, blas = 0, None, None
     worst = (0.0, 0, 0.0, 0.0)  # (excess, -index, gap, bound) of the worst pair so far
@@ -232,8 +208,6 @@ def _fold_rows(blocks: Iterable[np.ndarray], size: float = math.inf) -> Symmetri
             if 2 * n * n - 1 <= size:
                 blas = np.empty(n * (n + 1) // 2)
                 offsets = row_offsets(n) + n  # of the row-major tail blas[n:]
-        if block.shape[1] != n:
-            raise FormatError(f"expected {n} columns, got {block.shape[1]}")
         for g, row in enumerate(block, start=count):
             if blas is None or g >= n:
                 break
@@ -289,17 +263,12 @@ class MatrixSource:
 def load_matrix(source: MatrixSource) -> SymmetricMatrix:
     """Read a :class:`SymmetricMatrix` from a file.
 
-    A file of plain numeric text, with LF, CRLF or CR line ends, is parsed in
-    one vectorized pass. The pass reads the file in blocks of whole lines
-    (about 1 MiB each) and parses each block straight into the row-major
-    tail of the result's buffer, so it never holds the whole file, an n x n
-    array or a second copy. Dense rows are checked for symmetry as they
-    arrive; an edge list is read twice, once to count its lines. Whatever that pass
-    declines (any byte outside plain numeric text, a wrong shape or token
-    count, a non-finite value, an asymmetric pair) is read again from the
-    start, line by line, and the line reader's result or line-numbered
-    error stands, so the two routes accept the same inputs and word every
-    error alike.
+    The file is read once (an edge list twice, once to count its lines), in
+    blocks of whole lines of about 1 MiB, each parsed in one vectorized pass
+    straight into the row-major tail of the result's buffer: no stage holds
+    the whole file, an n x n array or a second copy. A block that breaks the
+    grammar (README, "Input grammar") is checked line by line for its first
+    faulty line's error; faults of the whole file come once every line passed.
 
     Parameters
     ----------
@@ -318,11 +287,11 @@ def load_matrix(source: MatrixSource) -> SymmetricMatrix:
         The file does not exist.
     """
     with open(source.path, "rb") as fh:
-        matrix = _parse_blocks(source.format, fh)
-        if matrix is None:
-            fh.seek(0)
-            data = fh.read()
-    return matrix if matrix is not None else _parse(source.format, _utf8_lines(data))
+        if source.format == "dense-csv":
+            return _read_dense(fh)
+        if source.format == "upper-triangle-text":
+            return _read_upper_triangle(fh)
+        return _read_edge_list(fh)
 
 
 def save_matrix(
@@ -362,27 +331,12 @@ def _emit(matrix: SymmetricMatrix, fh: IO[str], format: str) -> None:
                 fh.write(f"{i} {j} {repr(v)}\n")
 
 
-def _utf8_lines(data: bytes) -> IO[str]:
-    """The lines of ``data`` as ``open(path, encoding="utf-8")`` yields them.
-
-    An undecodable byte is a FormatError naming its line, with line breaks
-    counted as text mode counts them: LF, CRLF and a lone CR. Only text that
-    is not ASCII is decoded, once, to check it; lines are then read a chunk
-    at a time from ``data``, so no decoded copy of the whole file is kept.
-    """
-    try:
-        data.isascii() or data.decode("utf-8")
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None)
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start]
-        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise FormatError(f"line {lineno}: invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
-
-
-# The only bytes the vectorized pass accepts. On such text numpy splits lines
-# and fields where str.split does, and converts exactly the tokens float()
-# and int() accept, to the same values; anything else goes line by line.
-_PLAIN_BYTES = b"0123456789+-.eE \t\n"
+# The bytes of the grammar once _blocks has read CRLF and CR as LF: a number's,
+# dense CSV's comma, whitespace and LF. On them numpy splits and strips fields
+# at the whitespace bytes.split and strip know, and converts exactly the tokens
+# float() and int() accept, to the same values.
+_NUMBER_BYTES = b"0123456789+-.eE"
+_PLAIN_BYTES = _NUMBER_BYTES + b", \t\x0b\x0c\n"
 _EDGE_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 _BLOCK_BYTES = 1 << 20
 # Entries per block of the edge-key build and its checks, and tokens per
@@ -390,35 +344,14 @@ _BLOCK_BYTES = 1 << 20
 _KEY_BLOCK = _TOKENS = 1 << 16
 
 
-def _parse_blocks(format: str, fh: IO[bytes]) -> SymmetricMatrix | None:
-    """A vectorized parse of plain numeric text, or None to read it line by line.
+def _blocks(fh: IO[bytes], start: int = 0, lineno: int = 1) -> Iterator[tuple[int, int, bytes]]:
+    """(first line, byte offset, text) of each block of ``fh`` from line ``lineno`` at ``start``.
 
-    ``fh`` is read from its start in blocks of whole lines (``_blocks``),
-    each parsed straight into arrays allocated once, so no stage holds the
-    whole file or an n x n array. A matrix returned here is bit-identical
-    to what the line parser returns for the same text. No error is raised
-    from here: wording errors is left to the line parser.
+    Blocks are whole lines of about _BLOCK_BYTES, with CRLF and a lone CR
+    read as LF. A CR that ends one read waits for the next, so a CRLF split
+    between two reads is still one line end. Blocks of whitespace are skipped.
     """
-    try:
-        if format == "dense-csv":
-            return _fast_dense(fh)
-        if format == "upper-triangle-text":
-            return _fast_upper_triangle(fh)
-        return _fast_edge_list(fh)
-    except ValueError:  # numpy's conversion and shape errors, and FormatError
-        return None
-
-
-def _blocks(fh: IO[bytes], plain: bytes) -> Iterator[bytes]:
-    """The text of ``fh`` from its start, in blocks of whole lines of about _BLOCK_BYTES.
-
-    Line ends are translated as text mode translates them: CRLF and a lone
-    CR become LF. A CR that ends one read is held over to the next, so a
-    CRLF split between two reads is still one line end. Blocks of
-    whitespace only are skipped. Raises FormatError at a byte not in
-    ``plain``.
-    """
-    fh.seek(0)
+    fh.seek(start)
     pending, at_end = b"", False
     while not at_end:
         chunk = fh.read(_BLOCK_BYTES)
@@ -432,222 +365,228 @@ def _blocks(fh: IO[bytes], plain: bytes) -> Iterator[bytes]:
         cut = len(data) if at_end else data.rfind(b"\n") + 1
         block, pending = data[:cut], data[cut:] + held
         del data
-        if block.translate(None, plain):
-            raise FormatError("not plain numeric text")
         if block and not block.isspace():
-            yield block
+            yield lineno, start, block
+        # numpy counts line ends about ten times faster than bytes.count
+        # where lines are short.
+        lineno += int(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n")))
+        start = fh.tell() - len(pending)  # pending holds no line end but a held CR
 
 
-def _fast_dense(fh: IO[bytes]) -> SymmetricMatrix:
-    def row_blocks() -> Iterator[np.ndarray]:
-        for block in _blocks(fh, _PLAIN_BYTES + b","):
-            rows = np.loadtxt(io.BytesIO(block), delimiter=",", comments=None, ndmin=2)
-            # from_dense drops the diagonal, where the line parser still
-            # rejects an overflowing token such as 1e400.
-            if not np.isfinite(rows).all():
-                raise FormatError("non-finite value")
-            yield rows
-
-    # A file too short for its first row's width makes nothing of size N.
-    return _fold_rows(row_blocks(), fh.seek(0, io.SEEK_END))
+def _lines(block: bytes, lineno: int) -> Iterator[tuple[int, bytes]]:
+    """(number, text without the whitespace around it) of each non-blank line of ``block``."""
+    for k, line in enumerate(block.split(b"\n"), start=lineno):
+        if line := line.strip():
+            yield k, line
 
 
-def _fast_upper_triangle(fh: IO[bytes]) -> SymmetricMatrix:
-    size = fh.seek(0, io.SEEK_END)
-    values = None
-    n_pairs = filled = 0
-    for rest in _blocks(fh, _PLAIN_BYTES):
-        while rest:
-            # At most _TOKENS at a time: a token's bytes object costs ~48
-            # bytes, 30 MiB for a block of two-digit scores.
-            tokens = rest.split(None, _TOKENS)
-            rest = tokens.pop() if len(tokens) > _TOKENS else b""
-            if values is None:
-                n = int(tokens.pop(0))
-                n_pairs = n * (n - 1) // 2
-                # N tokens need 2N - 1 bytes: a dimension too large for the
-                # file is declined before anything of size N exists.
-                if n < 2 or 2 * n_pairs + 1 > size:
-                    raise FormatError("dimension does not fit the file")
-                blas = np.empty(n * (n + 1) // 2)
-                values = blas[n:]
-            if filled + len(tokens) > n_pairs:
-                raise FormatError("too many values")
-            values[filled : filled + len(tokens)] = np.array(tokens, dtype=np.float64)
-            filled += len(tokens)
-    if values is None or filled != n_pairs:
-        raise FormatError("too few values")
-    return SymmetricMatrix.adopt(n, spread_rows(blas, n))
+def _parsed(parse, block: bytes, lineno: int, check: Callable[[int, str], None]):
+    """``parse(block)``, or the error of the first faulty line of a block it refuses.
+
+    ``parse`` refuses with None or numpy's ValueError; ``check(k, text)``
+    raises line k's error, if any, under its format's rules.
+    """
+    try:
+        result = None if block.translate(None, _PLAIN_BYTES) else parse(block)
+    except ValueError:  # numpy's conversion errors
+        result = None
+    if result is not None:
+        return result
+    for k, line in _lines(block, lineno):
+        try:
+            check(k, line.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"line {k}: invalid UTF-8 byte 0x{line[exc.start]:02x}") from None
+        # int() and float() also take tokens such as '1_0', '٣' and '１２'.
+        for token in line.replace(b",", b" ").split():
+            if token.translate(None, _NUMBER_BYTES):
+                raise FormatError(f"line {k}: non-numeric value {token.decode()!r}")
+    raise RuntimeError(f"numpy refused the block from line {lineno}, which keeps the grammar")
 
 
-def _fast_edge_list(fh: IO[bytes]) -> SymmetricMatrix:
-    # A first pass counts the lines, so the second fills arrays of their size.
-    lines = sum(
-        block.count(b"\n") + (not block.endswith(b"\n")) for block in _blocks(fh, _PLAIN_BYTES)
-    )
-    # Indices are int32 while there are fewer than 2^31 lines: a larger
-    # index names more pairs than there are lines, and the line parser
-    # words that error.
-    index = np.dtype(np.int32 if lines < 2**31 else np.int64)
-    i = np.empty(lines, dtype=index)
-    j = np.empty(lines, dtype=index)
-    w = np.empty(lines)
-    filled = 0
-    for block in _blocks(fh, _PLAIN_BYTES):
-        rows = np.loadtxt(io.BytesIO(block), dtype=_EDGE_DTYPE, comments=None, ndmin=1)
-        ij = (rows["i"], rows["j"])
-        if min(a.min() for a in ij) < 0 or max(a.max() for a in ij) > np.iinfo(index).max:
-            raise FormatError("a negative index or one beyond the line count")
-        stop = filled + rows.shape[0]
-        i[filled:stop], j[filled:stop], w[filled:stop] = rows["i"], rows["j"], rows["w"]
-        filled = stop
-    i, j, w = i[:filled], j[:filled], w[:filled]
-    if not filled or not np.all(np.isfinite(w)):
-        raise FormatError("no lines or a non-finite weight")
-    n = int(max(i.max(), j.max())) + 1
-    n_pairs = n * (n - 1) // 2
-    # Each pair needs a line of its own. Checked in Python ints before any
-    # key is built, so a huge index cannot overflow a key.
-    if n_pairs > filled:
-        raise FormatError("fewer lines than pairs")
-    off = i != j
-    if not off.all():
-        if not off.any():
-            raise FormatError("no pair of distinct nodes")
-        i, j, w = i[off], j[off], w[off]
-    del off
-    keys = i  # the pack key of each line, built in place over i
-    del i
-    offsets = row_offsets(n)
-    for lo in range(0, keys.shape[0], _KEY_BLOCK):
-        a, b = keys[lo : lo + _KEY_BLOCK], j[lo : lo + _KEY_BLOCK]
-        a[...] = offsets[np.minimum(a, b)] + np.maximum(a, b)
-    del a, b, j  # the last block's views would keep i and j alive
-    if keys.shape[0] != n_pairs or not all(
-        np.array_equal(keys[lo : lo + _KEY_BLOCK], np.arange(lo, min(lo + _KEY_BLOCK, n_pairs)))
-        for lo in range(0, n_pairs, _KEY_BLOCK)
-    ):  # else every pair once, in pack order
-        order = np.argsort(keys, kind="stable")  # repeats keep their line order
-        keys = keys[order]
-        w = w[order]
-        del order
-        repeat = keys[1:] == keys[:-1]
-        if np.any(w[1:][repeat] != w[:-1][repeat]):
-            raise FormatError("conflicting weights")
-        # The last line of each pair wins, as in the dict. The keys left are
-        # distinct and in range, so there are n_pairs of them exactly when
-        # every pair is present.
-        w = w[np.append(~repeat, True)]
-        if w.shape[0] != n_pairs:
-            raise FormatError("missing pairs")
-    del keys
-    blas = np.empty(n * (n + 1) // 2)
-    blas[n:] = w
-    return SymmetricMatrix.adopt(n, spread_rows(blas, n))
-
-
-def _parse(format: str, fh: IO[str]) -> SymmetricMatrix:
-    if format == "dense-csv":
-        return _parse_dense_csv(fh)
-    if format == "upper-triangle-text":
-        return _parse_upper_triangle(fh)
-    return _parse_edge_list(fh)
-
-
-def _numbered_lines(fh: IO[str]) -> Iterator[tuple[int, str]]:
-    for lineno, raw in enumerate(fh, start=1):
-        line = raw.strip()
-        if line:
-            yield lineno, line
-
-
-def _parse_float(token: str, lineno: int) -> float:
+def _check_value(token: str, k: int) -> None:
     try:
         value = float(token)
     except ValueError:
-        raise FormatError(f"line {lineno}: non-numeric value {token!r}") from None
+        raise FormatError(f"line {k}: non-numeric value {token!r}") from None
     if not math.isfinite(value):
-        raise FormatError(f"line {lineno}: non-finite value {token!r}")
-    return value
+        raise FormatError(f"line {k}: non-finite value {token!r}")
 
 
-def _parse_dense_csv(fh: IO[str]) -> SymmetricMatrix:
-    def rows() -> Iterator[np.ndarray]:
-        fh.seek(0)  # from the end, where measuring its size left it
-        width = None
-        for lineno, line in _numbered_lines(fh):
-            fields = [_parse_float(tok.strip(), lineno) for tok in line.split(",")]
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise FormatError(f"line {lineno}: expected {width} columns, got {len(fields)}")
-            yield np.array(fields, ndmin=2)
+def _read_dense(fh: IO[bytes]) -> SymmetricMatrix:
+    width = None
 
-    return _fold_rows(rows(), fh.seek(0, io.SEEK_END))
+    def check(k: int, line: str) -> None:
+        nonlocal width
+        fields = [field.strip() for field in line.split(",")]
+        for field in fields:
+            _check_value(field, k)
+        width = width or len(fields)
+        if len(fields) != width:
+            raise FormatError(f"line {k}: expected {width} columns, got {len(fields)}")
+
+    def parse(block: bytes) -> np.ndarray | None:
+        nonlocal width
+        try:
+            rows = np.loadtxt(io.BytesIO(block), delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # numpy reads a line of blanks as one empty field
+            kept = b"\n".join(line for _, line in _lines(block, 1))
+            rows = np.loadtxt(io.BytesIO(kept), delimiter=",", comments=None, ndmin=2)
+        width = width or rows.shape[1]
+        # The fold drops the diagonal, whose tokens must still be finite.
+        return rows if rows.shape[1] == width and np.isfinite(rows).all() else None
+
+    rows = (_parsed(parse, block, k, check) for k, _, block in _blocks(fh))
+    # A file too short for its first row's width makes nothing of size N.
+    return _fold_rows(rows, fh.seek(0, io.SEEK_END))
 
 
-def _parse_upper_triangle(fh: IO[str]) -> SymmetricMatrix:
-    n = None
-    values = array.array("d")
-    expected = None
-    for lineno, line in _numbered_lines(fh):
+def _read_upper_triangle(fh: IO[bytes]) -> SymmetricMatrix:
+    size = fh.seek(0, io.SEEK_END)
+    n, blas, filled = None, None, 0
+
+    def check(k: int, line: str) -> None:
+        nonlocal n, filled
         for token in line.split():
             if n is None:
                 try:
                     n = int(token)
                 except ValueError:
-                    raise FormatError(
-                        f"line {lineno}: expected dimension, got {token!r}"
-                    ) from None
+                    raise FormatError(f"line {k}: expected dimension, got {token!r}") from None
                 if n < 2:
-                    raise FormatError(f"line {lineno}: dimension must be >= 2, got {n}")
-                expected = n * (n - 1) // 2
-                continue
-            if expected is not None and len(values) >= expected:
-                raise FormatError(f"line {lineno}: more than {expected} values for n={n}")
-            values.append(_parse_float(token, lineno))
+                    raise FormatError(f"line {k}: dimension must be >= 2, got {n}")
+            elif filled >= n * (n - 1) // 2:
+                raise FormatError(f"line {k}: more than {n * (n - 1) // 2} values for n={n}")
+            else:
+                _check_value(token, k)
+                filled += 1
+
+    def parse(rest: bytes) -> bool | None:
+        # The dimension and count are kept only once the whole block is read,
+        # so check() reads a refused block from the state it started in.
+        nonlocal n, blas, filled
+        dim, count = n, filled
+        while rest:
+            # At most _TOKENS at a time: a token's bytes object costs ~48
+            # bytes, 30 MiB for a block of two-digit scores.
+            tokens = rest.split(None, _TOKENS)
+            rest = tokens.pop() if len(tokens) > _TOKENS else b""
+            if dim is None:
+                dim = int(tokens.pop(0))
+                # N tokens need 2N - 1 bytes: for a dimension too large for
+                # the file nothing of size N is made, and values are counted.
+                if dim >= 2 and dim * (dim - 1) + 1 <= size:
+                    blas = np.empty(dim * (dim + 1) // 2)
+            values, end = np.array(tokens, dtype=np.float64), count + len(tokens)
+            if dim < 2 or end > dim * (dim - 1) // 2 or not np.isfinite(values).all():
+                return None
+            if blas is not None:
+                blas[dim + count : dim + end] = values
+            count = end
+        n, filled = dim, count
+        return True
+
+    for lineno, _, block in _blocks(fh):
+        _parsed(parse, block, lineno, check)
     if n is None:
         raise FormatError("empty input")
-    assert expected is not None
-    if len(values) != expected:
-        raise FormatError(f"expected {expected} values for n={n}, got {len(values)}")
-    return SymmetricMatrix(n, np.frombuffer(values))
+    if filled != n * (n - 1) // 2:
+        raise FormatError(f"expected {n * (n - 1) // 2} values for n={n}, got {filled}")
+    return SymmetricMatrix.adopt(n, spread_rows(blas, n))
 
 
-def _parse_edge_list(fh: IO[str]) -> SymmetricMatrix:
-    weights: dict[tuple[int, int], float] = {}
-    max_index = -1
-    for lineno, line in _numbered_lines(fh):
-        fields = line.split()
-        if len(fields) != 3:
-            raise FormatError(f"line {lineno}: expected 'i j w', got {line!r}")
-        try:
-            i, j = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise FormatError(f"line {lineno}: non-integer node index in {line!r}") from None
-        if i < 0 or j < 0:
-            raise FormatError(f"line {lineno}: negative node index in {line!r}")
-        w = _parse_float(fields[2], lineno)
-        max_index = max(max_index, i, j)
-        if i == j:
-            continue  # self-weights carry no information here
-        key = (min(i, j), max(i, j))
-        if key in weights and weights[key] != w:
-            raise FormatError(
-                f"line {lineno}: pair {key} repeated with conflicting weights "
-                f"{weights[key]!r} and {w!r}"
-            )
-        weights[key] = w
-    if max_index < 1:
-        raise FormatError("empty input" if max_index < 0 else "need at least two nodes")
-    n = max_index + 1
-    expected = n * (n - 1) // 2
-    if len(weights) != expected:
-        raise FormatError(
-            f"incomplete edge list: {len(weights)} distinct pairs, "
-            f"expected {expected} for n={n}"
-        )
-    values = np.empty(expected)
-    for (i, j), w in weights.items():
-        values[pack_index(i, j, n)] = w
-    return SymmetricMatrix(n, values)
+def _check_edge(k: int, line: str) -> None:
+    fields = line.split()
+    if len(fields) != 3:
+        raise FormatError(f"line {k}: expected 'i j w', got {line!r}")
+    try:
+        i, j = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise FormatError(f"line {k}: non-integer node index in {line!r}") from None
+    if i < 0 or j < 0:
+        raise FormatError(f"line {k}: negative node index in {line!r}")
+    _check_value(fields[2], k)
+    if max(i, j) >= 2**63:
+        raise FormatError(f"line {k}: node index above {2**63 - 1} in {line!r}")
+
+
+def _read_edge_list(fh: IO[bytes]) -> SymmetricMatrix:
+    def parse(block: bytes) -> np.ndarray | None:
+        rows = np.loadtxt(io.BytesIO(block), dtype=_EDGE_DTYPE, comments=None, ndmin=1)
+        ok = min(rows["i"].min(), rows["j"].min()) >= 0 and np.isfinite(rows["w"]).all()
+        return rows if ok else None
+
+    # A first pass counts the lines, so the second fills arrays of their size.
+    lines = sum(block.count(b"\n") + (not block.endswith(b"\n")) for *_, block in _blocks(fh))
+    # Indices are int32 while there are fewer than 2^31 lines. A larger
+    # index names more pairs than there are lines, and widens them to int64.
+    i = np.empty(lines, dtype=np.int32 if lines < 2**31 else np.int64)
+    j, w = np.empty_like(i), np.empty(lines)
+    filled, starts = 0, []  # starts: (first row, first line, byte offset) of each block
+    for lineno, offset, block in _blocks(fh):
+        starts.append((filled, lineno, offset))
+        rows = _parsed(parse, block, lineno, _check_edge)
+        if max(rows["i"].max(), rows["j"].max()) > np.iinfo(i.dtype).max:
+            i, j = i.astype(np.int64), j.astype(np.int64)
+        stop = filled + rows.shape[0]
+        i[filled:stop], j[filled:stop], w[filled:stop] = rows["i"], rows["j"], rows["w"]
+        filled = stop
+    if not filled:
+        raise FormatError("empty input")
+    i, j, w = i[:filled], j[:filled], w[:filled]
+    n = int(max(i.max(), j.max())) + 1
+    if n < 2:
+        raise FormatError("need at least two nodes")
+    n_pairs = distinct = n * (n - 1) // 2
+    if n_pairs > filled:  # too few lines for every pair, and keys that could overflow
+        pairs = np.stack((np.minimum(i, j), np.maximum(i, j)))[:, i != j]
+        distinct = np.unique(pairs, axis=1).shape[1]
+    else:
+        keys, ordered = i, filled == n_pairs  # keys are built in place over i
+        del i
+        offsets, blocks = row_offsets(n) + 1, range(0, filled, _KEY_BLOCK)
+        for lo in blocks:
+            # 1 + the pack position of each line's pair, 0 for a self-loop.
+            a, b = keys[lo : lo + _KEY_BLOCK], j[lo : lo + _KEY_BLOCK]
+            a[...] = np.where(a == b, 0, offsets[np.minimum(a, b)] + np.maximum(a, b))
+            ordered = ordered and np.array_equal(a, np.arange(lo + 1, lo + 1 + a.size))
+        del a, b, j  # the last block's views would keep i and j alive
+        if ordered:
+            keys = None  # every pair once, in pack order: w holds the values
+        else:
+            counts = np.zeros(n_pairs + 1, dtype=keys.dtype)  # lines per key
+            for lo in blocks:
+                np.add.at(counts, keys[lo : lo + _KEY_BLOCK], 1)
+            distinct = np.count_nonzero(counts[1:])
+            counts[0] = 0
+            # The rows of each pair on more than one line, by pair and then line.
+            rows = [lo + np.flatnonzero(counts[keys[lo : lo + _KEY_BLOCK]] > 1) for lo in blocks]
+            rows = np.concatenate(rows)
+            del counts
+            rows = rows[np.argsort(keys[rows], kind="stable")]
+            same = keys[rows[1:]] == keys[rows[:-1]]
+            clash = np.flatnonzero(same & (w[rows[1:]] != w[rows[:-1]]))
+            if distinct == n_pairs and clash.size:
+                prior, row = rows[[clash, clash + 1]][:, np.argmin(rows[clash + 1])].tolist()
+                # Read the line of that row again, from the start of its block.
+                first, lineno, offset = next(at for at in reversed(starts) if at[0] <= row)
+                texts = (kl for k, _, b in _blocks(fh, offset, lineno) for kl in _lines(b, k))
+                k, line = next(kl for at, kl in enumerate(texts, start=first) if at == row)
+                pair = tuple(sorted(int(x) for x in line.split()[:2]))
+                raise FormatError(
+                    f"line {k}: pair {pair} repeated with conflicting weights "
+                    f"{w[prior].item()!r} and {w[row].item()!r}"
+                )
+            last = rows[np.append(~same, True)[: rows.size]]  # the last line of a pair wins
+    if distinct != n_pairs:
+        message = f"{distinct} distinct pairs, expected {n_pairs} for n={n}"
+        raise FormatError(f"incomplete edge list: {message}")
+    blas = np.empty(n * (n + 1) // 2)
+    if keys is None:
+        blas[n:] = w
+    else:
+        values = blas[n - 1 :]  # key k's slot; self-loops' is one spread_rows overwrites
+        for lo in blocks:
+            values[keys[lo : lo + _KEY_BLOCK]] = w[lo : lo + _KEY_BLOCK]
+        values[keys[last]] = w[last]
+    return SymmetricMatrix.adopt(n, spread_rows(blas, n))

@@ -19,6 +19,7 @@ import pytest
 
 from rankspectral import (
     AsymmetryError,
+    FormatError,
     MatrixSource,
     SymmetricMatrix,
     TiePolicy,
@@ -222,38 +223,45 @@ def asymmetric_first_row(text):
     return first.rsplit(b",", 1)[0] + b",1e6\n" + rest
 
 
-def or_asymmetry(fn):
-    """``fn``, returning the AsymmetryError it raises instead of raising it."""
+def or_error(fn):
+    """``fn``, returning the FormatError it raises instead of raising it."""
 
     def call(*args):
         try:
             return fn(*args)
-        except AsymmetryError as exc:
+        except FormatError as exc:
             return exc
 
     return call
 
 
+def conflicting_last_line(text):
+    first = text.split(b"\n", 1)[0].split()
+    return text + b"%s %s %r\n" % (first[1], first[0], float(first[2]) + 1.0)
+
+
 @pytest.mark.parametrize(
     "format, edit, bound",
     [
-        # Entry (0, n-1) differs from (n-1, 0): the vectorized pass declines
-        # after its last row, and the line parser holds the file's bytes and
-        # the result's buffer.
-        ("dense-csv", asymmetric_first_row, 7),
-        # A form feed is outside plain numeric text: a valid file, line by line.
-        ("upper-triangle-text", lambda text: text.replace(b"\n", b"\x0c\n", 1), 6),
+        # Entry (0, n-1) differs from (n-1, 0): found once every row is folded.
+        ("dense-csv", asymmetric_first_row, 2.5),
+        # A form feed separates tokens like a space.
+        ("upper-triangle-text", lambda text: text.replace(b"\n", b"\x0c\n", 1), 3.25),
+        # The first pair again, reversed, with another weight.
+        ("weighted-edge-list", conflicting_last_line, 3.25),
     ],
 )
-def test_line_parser_holds_the_file_once(matrix_files, tmp_path, format, edit, bound):
-    # The bytes, read lines a chunk at a time, and float64 values: no decoded
-    # copy of the file and no Python float per value.
+def test_error_path_peaks_like_a_valid_file(matrix_files, tmp_path, format, edit, bound):
+    # The bound of the valid file's format: a fault is found in the one pass
+    # over the blocks, and no file is read again to word it.
     values, paths = matrix_files
-    path = tmp_path / "declined.txt"
+    path = tmp_path / "edited.txt"
     path.write_bytes(edit(paths[format].read_bytes()))
-    result, peak = peak_arrays(or_asymmetry(load_matrix), MatrixSource(format, path))
+    result, peak = peak_arrays(or_error(load_matrix), MatrixSource(format, path))
     if format == "dense-csv":
         assert isinstance(result, AsymmetryError)
+    elif format == "weighted-edge-list":
+        assert str(result).startswith(f"line {N_DIM * (N_DIM - 1) // 2 + 1}: pair (0, 1) repeated")
     else:
         assert result.values.tobytes() == values.tobytes()
     assert peak <= bound
@@ -278,7 +286,7 @@ def test_from_dense_peak(matrix_files):
     assert matrix.values.tobytes() == values.tobytes()
     assert peak <= 1.15
     dense[N_DIM - 1, 0] += 1.0
-    error, peak = peak_arrays(or_asymmetry(SymmetricMatrix.from_dense), dense)
+    error, peak = peak_arrays(or_error(SymmetricMatrix.from_dense), dense)
     assert isinstance(error, AsymmetryError)
     assert str(error).startswith(f"entries (0,{N_DIM - 1}) and ({N_DIM - 1},0) differ by ")
     assert peak <= 1.15

@@ -5,7 +5,6 @@ import re
 import subprocess
 import sys
 import types
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -162,9 +161,7 @@ def producers(n, tmp_path):
     """(label, matrix, its row-major values built apart from the package), one per producer.
 
     The samplers' references come from one whole draw of each stream, in
-    the order the sampler takes them; the files are read by the vectorized
-    route and, with a ``0_`` prefix only the line parser takes, by the line
-    route.
+    the order the sampler takes them.
     """
     n_pairs = n * (n - 1) // 2
     rng = make_generator(n)
@@ -177,13 +174,7 @@ def producers(n, tmp_path):
     for format in symmetric.FORMATS:
         path = tmp_path / f"{format}-{n}.txt"
         save_matrix(SymmetricMatrix(n, values), path, format)
-        text = path.read_text()
-        for route, prefix in (("vectorized", ""), ("line", "0_")):
-            path.write_text(prefix + text)
-            with mock.patch.object(symmetric, "_parse", wraps=symmetric._parse) as line_parser:
-                matrix = load_matrix(MatrixSource(format, path))
-            assert line_parser.called == (route == "line"), (format, route)
-            yield f"load {format} {route}", matrix, values
+        yield f"load {format}", load_matrix(MatrixSource(format, path)), values
     normal, exponential = Normal(0.0, 1.0), Exponential(1.0)
     yield "homogeneous", sample_homogeneous(n, "normal(0,1)", n), normal.sample(
         n_pairs, make_generator(n)
@@ -228,7 +219,7 @@ class TestPackedBlas:
             diagonal = matrix.blas[symmetric.diagonal_slots(n)]
             assert diagonal.tobytes() == np.zeros(n).tobytes(), label
             assert not matrix.blas.flags.writeable, label
-        assert len(labels) == 15 + (n >= 3)
+        assert len(labels) == 12 + (n >= 3)
 
     @pytest.mark.parametrize("n", [3, 300, 1000])
     def test_within_four_ulp_of_the_upper_route(self, n, monkeypatch):

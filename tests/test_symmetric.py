@@ -20,60 +20,16 @@ from rankspectral import (
     MatrixSource,
     SymmetricMatrix,
     load_matrix,
-    pack_index,
     pair_indices,
     save_matrix,
 )
 
 from conftest import random_symmetric
-from oracles import expectation_matrix, permute_nodes, unpack_index
+from oracles import expectation_matrix, grammar_outcome, permute_nodes
 
 
-class TestPackIndex:
-    def test_known_position(self):
-        # n=5 row-major pairs: (0,1) (0,2) (0,3) (0,4) (1,2) ...
-        assert pack_index(0, 3, 5) == 2
-        assert pack_index(0, 1, 5) == 0
-        assert pack_index(3, 4, 5) == 9
-
-    def test_matches_triu_order(self):
-        for n in (2, 3, 7, 50):
-            rows, cols = np.triu_indices(n, k=1)
-            for k, (i, j) in enumerate(zip(rows, cols)):
-                assert pack_index(int(i), int(j), n) == k
-
-    def test_rejects_bad_pairs(self):
-        with pytest.raises(ValueError):
-            pack_index(2, 2, 5)
-        with pytest.raises(ValueError):
-            pack_index(3, 1, 5)
-        with pytest.raises(ValueError):
-            pack_index(0, 5, 5)
-        with pytest.raises(ValueError):
-            pack_index(0, 1, 1)
-
-    @given(st.integers(2, 400), st.data())
-    def test_unpack_inverts_pack(self, n, data):
-        i = data.draw(st.integers(0, n - 2))
-        j = data.draw(st.integers(i + 1, n - 1))
-        assert unpack_index(pack_index(i, j, n), n) == (i, j)
-
-    @given(st.integers(2, 400), st.data())
-    def test_pack_inverts_unpack(self, n, data):
-        k = data.draw(st.integers(0, n * (n - 1) // 2 - 1))
-        i, j = unpack_index(k, n)
-        assert 0 <= i < j < n
-        assert pack_index(i, j, n) == k
-
-    def test_unpack_known(self):
-        assert unpack_index(2, 5) == (0, 3)
-        assert unpack_index(0, 2) == (0, 1)
-
-    def test_unpack_bounds(self):
-        with pytest.raises(ValueError):
-            unpack_index(10, 5)
-        with pytest.raises(ValueError):
-            unpack_index(-1, 5)
+class TestLayouts:
+    """The map between the row-major and the lower-packed layout."""
 
     def test_pair_indices_matches_numpy(self):
         rows, cols = pair_indices(6)
@@ -81,9 +37,10 @@ class TestPackIndex:
         assert np.array_equal(rows, ru)
         assert np.array_equal(cols, cu)
 
-
-class TestLayouts:
-    """The map between the row-major and the lower-packed layout."""
+    def test_row_offsets_place_each_pair(self):
+        for n in (2, 3, 7, 50):
+            rows, cols = np.triu_indices(n, k=1)
+            assert symmetric.row_offsets(n)[rows].tolist() == (np.arange(len(rows)) - cols).tolist()
 
     def test_diagonal_slots(self):
         for n in (2, 3, 7, 40):
@@ -319,17 +276,13 @@ class TestRoundTrips:
             for newline, suffix in (("\n", ""), ("\r\n", "-crlf"), ("\r", "-cr"))
         ],
     )
-    def test_saved_text_takes_vectorized_parse(self, format, newline):
-        # The equivalence property below is only worth something if the
-        # vectorized pass accepts what save_matrix writes, with any line ends.
+    def test_saved_text_loads_with_any_line_ends(self, format, newline):
         m = random_symmetric(7, seed=9, low=-5.0, high=5.0)
         buf = io.StringIO()
         symmetric._emit(m, buf, format)
-        text = buf.getvalue().replace("\n", newline)
-        fast = symmetric._parse_blocks(format, io.BytesIO(text.encode("ascii")))
-        assert fast is not None
-        assert fast.n == m.n
-        assert np.array_equal(fast.values.view(np.uint64), m.values.view(np.uint64))
+        loaded = _load(format, buf.getvalue().replace("\n", newline).encode("ascii"))
+        assert loaded.n == m.n
+        assert np.array_equal(loaded.values.view(np.uint64), m.values.view(np.uint64))
 
     @pytest.mark.parametrize("width", [1, 4, 1000])
     def test_upper_triangle_across_blocks(self, width, monkeypatch):
@@ -340,9 +293,8 @@ class TestRoundTrips:
         tokens = [repr(float(v)) for v in m.values]
         lines = [" ".join(tokens[k : k + width]) for k in range(0, len(tokens), width)]
         text = "12 " + "\n".join(lines) + "\n"
-        fast = symmetric._parse_blocks("upper-triangle-text", io.BytesIO(text.encode("ascii")))
-        assert fast is not None
-        assert np.array_equal(fast.values.view(np.uint64), m.values.view(np.uint64))
+        loaded = _load("upper-triangle-text", text.encode("ascii"))
+        assert np.array_equal(loaded.values.view(np.uint64), m.values.view(np.uint64))
 
     def test_invalid_utf8_is_format_error(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -355,9 +307,43 @@ class TestRoundTrips:
             load_matrix(MatrixSource(format="upper-triangle-text", path=path))
 
 
+def _load(format, raw):
+    """``load_matrix`` on a file holding the bytes ``raw``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.txt"
+        path.write_bytes(raw)
+        return load_matrix(MatrixSource(format=format, path=path))
+
+
+def _read(format, fh):
+    """The reader of ``format``, on the open file ``fh``."""
+    return {
+        "dense-csv": symmetric._read_dense,
+        "upper-triangle-text": symmetric._read_upper_triangle,
+        "weighted-edge-list": symmetric._read_edge_list,
+    }[format](fh)
+
+
+def _outcome(load):
+    """What a load gives: the matrix bit for bit, or the error's class and text."""
+    try:
+        m = load()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return m.n, m.values.view(np.uint64).tolist()
+
+
+def _follows(outcome, expected):
+    """Whether a load's outcome is the grammar's: its matrix, or its error class and line."""
+    if not isinstance(outcome[0], type):
+        return outcome == expected
+    line = re.match(r"line (\d+): ", outcome[1])
+    return outcome[0] is expected[0] and (line and int(line.group(1))) == expected[1]
+
+
 class TestDenseCsvParsing:
     def load(self, text):
-        return symmetric._parse("dense-csv", io.StringIO(text))
+        return _load("dense-csv", text.encode("utf-8"))
 
     def test_basic(self):
         m = self.load("0,5,1\n5,0,3\n1,3,0\n")
@@ -399,7 +385,7 @@ class TestDenseCsvParsing:
 
 class TestUpperTriangleParsing:
     def load(self, text):
-        return symmetric._parse("upper-triangle-text", io.StringIO(text))
+        return _load("upper-triangle-text", text.encode("utf-8"))
 
     def test_basic(self):
         m = self.load("3\n5\n1\n3\n")
@@ -431,7 +417,7 @@ class TestUpperTriangleParsing:
 
 class TestEdgeListParsing:
     def load(self, text):
-        return symmetric._parse("weighted-edge-list", io.StringIO(text))
+        return _load("weighted-edge-list", text.encode("utf-8"))
 
     def test_basic_any_order(self):
         m = self.load("1 2 3.0\n0 1 5.0\n2 0 1.0\n")
@@ -482,8 +468,8 @@ class TestEdgeListParsing:
             self.load("0 4000000000 1.0\n")
 
     def test_index_beyond_int32_in_a_file(self, tmp_path):
-        # The vectorized pass keeps indices as int32, so 2^31 would wrap; it
-        # declines instead, and the line parser words the error.
+        # Indices are kept as int32, in which 2^31 would wrap: an index
+        # beyond int32 widens them to int64.
         path = tmp_path / "edges.txt"
         path.write_text("0 1 1.0\n0 2147483648 1.0\n")
         message = "expected 2305843010287435776 for n=2147483649"
@@ -498,18 +484,20 @@ class TestEdgeListParsing:
         with pytest.raises(FormatError, match="incomplete"):
             self.load("0 0 1\n1 1 1\n")
 
+    def test_index_beyond_int64_is_named_at_its_line(self):
+        with pytest.raises(FormatError) as error:
+            self.load("0 1 1.0\n0 99999999999999999999 1.0\n")
+        message = "line 2: node index above 9223372036854775807 in '0 99999999999999999999 1.0'"
+        assert str(error.value) == message
 
-def _outcome(parse):
-    """What a parse gives: the matrix bit for bit, or the error's class and text."""
-    try:
-        m = parse()
-    except ValueError as exc:
-        return type(exc), str(exc)
-    return m.n, m.values.view(np.uint64).tolist()
+    def test_the_last_of_equal_weights_wins(self):
+        # 0.0 == -0.0, so the pair does not conflict, and its last line wins.
+        for first, last in (("0.0", "-0.0"), ("-0.0", "0.0")):
+            m = self.load(f"0 1 {first}\n0 2 1.0\n1 0 {last}\n1 2 1.0\n")
+            assert m.values.tobytes() == np.array([float(last), 1.0, 1.0]).tobytes()
 
 
-# The parsing cases above go straight to the line parser. A file of the
-# same text takes the vectorized pass first, and must end the same.
+# The parsing cases above, and a few more, against the grammar's reference.
 FILE_CASES = {
     "dense-csv": [
         "0,5,1\n5,0,3\n1,3,0\n",
@@ -518,6 +506,9 @@ FILE_CASES = {
         "0,1,2\n1,0,3\n",
         "0,inf\ninf,0\n",
         "1e400,0\n0,0\n",
+        "0,1\n  \n\t\n1,0\n",
+        "0,\x0b1\x0c\n1,0\n",
+        "0,1_0\n1_0,0\n",
         "0,1\n2,0\n",
         "1\n",
         "",
@@ -527,6 +518,9 @@ FILE_CASES = {
         "3 5 1 3",
         "3\n5\n1\n",
         "3\n5\n1\n3\n4\n",
+        "3 5 1 3 # note\n",
+        "3 5\x0b1\x0c3\n",
+        "3.0 5 1 3\n",
         "1\n",
         "-3 1 2 3\n",
         "3\n",
@@ -549,6 +543,8 @@ FILE_CASES = {
         "0 -4294967295 1.0\n",
         "0 9223372036854775807 1.0\n",
         "0 99999999999999999999 1.0\n",
+        "0 1 2.0\n1 0 2.5\n0 2 1.0\n1 2 1.0\n",
+        "0 1 0.0\n1 0 -0.0\n",
         "0 0 7.0\n",
         "1 1 7.0\n",
         "0 0 1\n1 1 1\n",
@@ -560,12 +556,9 @@ FILE_CASES = {
 @pytest.mark.parametrize(
     "format, text", [(f, text) for f, texts in FILE_CASES.items() for text in texts]
 )
-def test_file_parse_matches_stream(format, text, tmp_path):
-    path = tmp_path / "m.txt"
-    path.write_bytes(text.encode("utf-8"))
-    assert _outcome(lambda: load_matrix(MatrixSource(format=format, path=path))) == _outcome(
-        lambda: symmetric._parse(format, io.StringIO(text))
-    )
+def test_file_cases_follow_the_grammar(format, text):
+    raw = text.encode("utf-8")
+    assert _follows(_outcome(lambda: _load(format, raw)), grammar_outcome(format, raw))
 
 
 # Tokens that float() or int() treat unlike a plain decimal, or reject.
@@ -590,14 +583,14 @@ def matrix_texts(draw, format):
         for (i, j), v in zip(pairs, values):
             dense[i, j] = dense[j, i] = v
         rows = [[repr(float(x)) for x in row] for row in dense]
-        sep = draw(st.sampled_from([",", ", ", ",\t"]))
+        sep = draw(st.sampled_from([",", ", ", ",\t", ",\x0c"]))
     elif format == "upper-triangle-text":
         tokens = [repr(v) for v in values]
         width = draw(st.integers(1, 3))
         rows = [[str(n)]] + [tokens[k : k + width] for k in range(0, len(tokens), width)]
         if draw(st.booleans()):  # values share the dimension's line
             rows[0:2] = [rows[0] + rows[1]]
-        sep = draw(st.sampled_from([" ", "\t", "  "]))
+        sep = draw(st.sampled_from([" ", "\t", "  ", "\x0b"]))
     else:
         order = draw(st.permutations(range(len(pairs))))
         rows = []
@@ -643,73 +636,83 @@ def matrix_texts(draw, format):
     return newline.join(sep.join(row) for row in rows) + draw(st.sampled_from(["", newline]))
 
 
+@pytest.mark.parametrize("token", AWKWARD_TOKENS + ["\uff11\uff12", "\xa0", "\x0b"])
+@pytest.mark.parametrize(
+    "format, template",
+    [
+        ("dense-csv", "0,{t}\n{t},0\n"),
+        ("upper-triangle-text", "3 0.5 {t} 0.25\n"),
+        ("weighted-edge-list", "0 1 {t}\n"),
+    ],
+)
+def test_awkward_tokens_follow_the_grammar(format, template, token):
+    raw = template.format(t=token).encode("utf-8")
+    outcome = _outcome(lambda: _load(format, raw))
+    assert _follows(outcome, grammar_outcome(format, raw))
+    if token in ("1_0", "\u0661", "\uff11\uff12"):  # float() takes them, the grammar does not
+        assert outcome == (FormatError, f"line 1: non-numeric value {token!r}")
+
+
 @pytest.mark.parametrize("format", symmetric.FORMATS)
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_vectorized_parse_matches_line_parser(format, data):
-    text = data.draw(matrix_texts(format))
-    raw = text.encode("utf-8")
-    expected = _outcome(lambda: symmetric._parse(format, symmetric._utf8_lines(raw)))
-    fast = symmetric._parse_blocks(format, io.BytesIO(raw))
-    if fast is not None:
-        assert expected == (fast.n, fast.values.view(np.uint64).tolist())
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "m.txt"
-        path.write_bytes(raw)
-        assert _outcome(lambda: load_matrix(MatrixSource(format=format, path=path))) == expected
-
-
-def _load_file(raw, format):
-    """``load_matrix``'s outcome on a file holding ``raw``."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "m.txt"
-        path.write_bytes(raw)
-        return _outcome(lambda: load_matrix(MatrixSource(format=format, path=path)))
+def test_load_follows_the_grammar(format, data):
+    raw = data.draw(matrix_texts(format)).encode("utf-8")
+    assert _follows(_outcome(lambda: _load(format, raw)), grammar_outcome(format, raw))
 
 
 @pytest.mark.parametrize("format", symmetric.FORMATS)
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_block_wise_parse_matches_line_parser(format, data):
+def test_block_splits_do_not_change_the_outcome(format, data):
     # Blocks of a few bytes put block edges inside and between lines,
     # between a CR and its LF, and inside the dimension's line; a few
-    # tokens or edge keys at a time split the work inside a block too.
+    # tokens or edge keys at a time split the work inside a block too. An
+    # error's text, its line number included, is the one read in one block.
     # Patched in the body: hypothesis refuses function-scoped fixtures like
     # monkeypatch.
-    text = data.draw(matrix_texts(format))
-    raw = text.encode("utf-8")
-    expected = _outcome(lambda: symmetric._parse(format, symmetric._utf8_lines(raw)))
+    raw = data.draw(matrix_texts(format)).encode("utf-8")
+    expected = _outcome(lambda: _load(format, raw))
     with mock.patch.multiple(
         symmetric,
         _BLOCK_BYTES=data.draw(st.one_of(st.integers(1, 12), st.just(1 << 20))),
         _TOKENS=data.draw(st.integers(1, 4)),
         _KEY_BLOCK=data.draw(st.integers(1, 4)),
     ):
-        fast = symmetric._parse_blocks(format, io.BytesIO(raw))
-        if fast is not None:
-            assert expected == (fast.n, fast.values.view(np.uint64).tolist())
-        assert _load_file(raw, format) == expected
+        assert _outcome(lambda: _load(format, raw)) == expected
 
 
 @pytest.mark.parametrize("format", symmetric.FORMATS)
 @pytest.mark.parametrize("chunk", [1, 2, 5])
-def test_small_chunks_still_take_the_vectorized_parse(format, chunk, monkeypatch):
-    # Non-vacuity for the property above, where a decline is always safe:
-    # saved text read in one block, then converted a few tokens or edge keys
-    # at a time, is accepted.
+def test_small_chunks_give_the_saved_matrix(format, chunk, monkeypatch):
+    # Saved text read in one block, then converted a few tokens or edge
+    # keys at a time, in pack order and shuffled.
     monkeypatch.setattr(symmetric, "_TOKENS", chunk)
     monkeypatch.setattr(symmetric, "_KEY_BLOCK", chunk)
     m = random_symmetric(12, seed=chunk, low=-2.0, high=2.0)
     buf = io.StringIO()
     symmetric._emit(m, buf, format)
-    fast = symmetric._parse_blocks(format, io.BytesIO(buf.getvalue().encode("ascii")))
-    assert fast is not None
-    assert fast.values.tobytes() == m.values.tobytes()
+    lines = buf.getvalue().splitlines(keepends=True)
+    if format == "weighted-edge-list":
+        np.random.default_rng(chunk).shuffle(lines)
+    for text in (buf.getvalue(), "".join(lines)):
+        assert _load(format, text.encode("ascii")).values.tobytes() == m.values.tobytes()
+
+
+class CountingReader(io.BytesIO):
+    """A file in memory that counts the bytes read from it."""
+
+    bytes_read = 0
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.bytes_read += len(data)
+        return data
 
 
 class TestBlockReader:
-    def blocks(self, raw, plain=symmetric._PLAIN_BYTES + b","):
-        return list(symmetric._blocks(io.BytesIO(raw), plain))
+    def blocks(self, raw):
+        return [block for _, _, block in symmetric._blocks(io.BytesIO(raw))]
 
     @pytest.mark.parametrize("block_bytes", range(1, 12))
     def test_crlf_split_between_reads_is_one_line_end(self, block_bytes, monkeypatch):
@@ -718,49 +721,66 @@ class TestBlockReader:
         assert b"".join(blocks) == b"0,1.5\n1\n2\n3\n4,5\n6\n7\n8\n"
         assert all(block.endswith(b"\n") for block in blocks)
 
+    @pytest.mark.parametrize("block_bytes", range(1, 12))
+    def test_each_block_knows_its_first_line_and_offset(self, block_bytes, monkeypatch):
+        monkeypatch.setattr(symmetric, "_BLOCK_BYTES", block_bytes)
+        raw = b"0 1\r\n\r\n  \n2\r3 4\r\n\n5\r\r6\n"
+        for lineno, offset, block in symmetric._blocks(io.BytesIO(raw)):
+            head = raw[:offset]
+            assert lineno == 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+            rest = raw[offset:].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            assert rest.startswith(block)
+            # Read again from its offset, a block gives the same first line.
+            again = next(symmetric._blocks(io.BytesIO(raw), offset, lineno))
+            assert again[:2] == (lineno, offset)
+            assert block.split(b"\n")[0] == again[2].split(b"\n")[0]
+
     def test_cr_ending_one_block_and_lf_starting_the_next(self, monkeypatch):
         # The first read ends on the CR of "3 1\r\n" and the second starts
         # with its LF: the CR waits for it, and no empty line appears.
         monkeypatch.setattr(symmetric, "_BLOCK_BYTES", 4)
         raw = b"3 1\r\n2\n3\n"
         assert raw[:4].endswith(b"\r") and raw[4:5] == b"\n"
-        assert self.blocks(raw, symmetric._PLAIN_BYTES) == [b"3 1\n2\n", b"3\n"]
-        fast = symmetric._parse_blocks("upper-triangle-text", io.BytesIO(raw))
-        assert fast is not None
-        assert fast.values.tolist() == [1.0, 2.0, 3.0]
+        assert self.blocks(raw) == [b"3 1\n2\n", b"3\n"]
+        loaded = _load("upper-triangle-text", raw)
+        assert loaded.values.tolist() == [1.0, 2.0, 3.0]
 
     def test_whitespace_blocks_are_skipped(self, monkeypatch):
         monkeypatch.setattr(symmetric, "_BLOCK_BYTES", 2)
         assert self.blocks(b"\n  \n3\n\t\n") == [b"3\n"]
         assert self.blocks(b" \r\n") == []
 
-    def test_a_byte_outside_the_filter_declines(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "format, raw, message",
+        [
+            ("dense-csv", b"0,1\r\n1,0\r\n# late\r\n", "line 3: non-numeric value '# late'"),
+            ("upper-triangle-text", b"3\n1\n2\n\n# 3\n", "line 5: non-numeric value '#'"),
+            ("weighted-edge-list", b"0 1 1\r\r# 0 2 1\n", "line 3: expected 'i j w', got '# 0 2 1'"),
+        ],
+    )
+    def test_a_faulty_file_is_read_no_further_than_its_fault(self, format, raw, message, monkeypatch):
         monkeypatch.setattr(symmetric, "_BLOCK_BYTES", 4)
-        with pytest.raises(FormatError):
-            self.blocks(b"0,1\n1,0\n# late\n")
+        for text in (raw, raw + 100 * b"0 0 0\n"):
+            fh = CountingReader(text)
+            with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+                _read(format, fh)
+            # An edge list's first pass counts every line.
+            assert fh.bytes_read <= len(raw) + 8 + (len(text) if format == "weighted-edge-list" else 0)
 
 
-def test_asymmetry_in_a_later_block_gets_the_line_parsers_error(tmp_path, monkeypatch):
+def test_asymmetry_in_a_later_block_is_named_once_every_row_is_read(monkeypatch):
     # Rows 0-34 are symmetric; only row 35, many blocks in, disagrees with
-    # row 3. The vectorized pass declines there, and the error is the one
-    # the line parser words for the whole matrix.
+    # row 3. The error names that pair, and the file is read once.
     monkeypatch.setattr(symmetric, "_BLOCK_BYTES", 64)
     dense = random_symmetric(40, seed=12).dense()
     dense[35, 3] += 1e-3
     lines = [",".join(repr(float(x)) for x in row) + "\n" for row in dense]
     assert len("".join(lines[:35])) > 20 * 64
-    text = "".join(lines)
-    assert symmetric._parse_blocks("dense-csv", io.BytesIO(text.encode("ascii"))) is None
-    path = tmp_path / "m.csv"
-    path.write_text(text, encoding="ascii")
-    with pytest.raises(AsymmetryError) as from_file:
-        load_matrix(MatrixSource(format="dense-csv", path=path))
-    with pytest.raises(AsymmetryError) as from_lines:
-        symmetric._parse("dense-csv", io.StringIO(text))
-    assert str(from_file.value) == str(from_lines.value)
-    assert str(from_file.value) == (
-        "entries (3,35) and (35,3) differ by 1.000e-03, beyond tolerance 1.000e-09"
-    )
+    fh = CountingReader("".join(lines).encode("ascii"))
+    message = "entries (3,35) and (35,3) differ by 1.000e-03, beyond tolerance 1.000e-09"
+    with pytest.raises(AsymmetryError, match=f"^{re.escape(message)}$"):
+        symmetric._read_dense(fh)
+    assert fh.bytes_read == len(fh.getvalue())
 
 
 @pytest.mark.parametrize("seed", range(24))
@@ -792,46 +812,31 @@ def test_asymmetry_error_names_the_worst_pair(seed):
     with pytest.raises(AsymmetryError, match=f"^{re.escape(message)}$"):
         SymmetricMatrix.from_dense(a)
     with pytest.raises(AsymmetryError, match=f"^{re.escape(message)}$"):
-        symmetric._parse("dense-csv", io.StringIO(text))
+        _load("dense-csv", text.encode("ascii"))
 
 
-def test_dimension_too_large_for_the_file_declines_before_allocating(tmp_path):
-    raw = b"100000000\n0.5\n0.25\n"
+def test_dimension_too_large_for_the_file_allocates_nothing():
     tracemalloc.start()
     try:
-        fast = symmetric._parse_blocks("upper-triangle-text", io.BytesIO(raw))
+        message = "expected 4999999950000000 values for n=100000000, got 2"
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            symmetric._read_upper_triangle(io.BytesIO(b"100000000\n0.5\n0.25\n"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert fast is None
     assert peak < 1 << 20
-    path = tmp_path / "m.txt"
-    path.write_bytes(raw)
-    message = "expected 4999999950000000 values for n=100000000, got 2"
-    with pytest.raises(FormatError, match=f"^{message}$"):
-        load_matrix(MatrixSource(format="upper-triangle-text", path=path))
 
 
-def test_dense_row_too_wide_for_the_file_declines_before_allocating(tmp_path):
+def test_dense_row_too_wide_for_the_file_allocates_nothing():
+    # The packed array of the first row's width would be 40 GB: the rows
+    # are only counted, and the errors are those of the whole text.
     raw = (",".join(["0"] * 100_000) + "\n").encode("ascii")
     tracemalloc.start()
     try:
-        fast = symmetric._parse_blocks("dense-csv", io.BytesIO(raw))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert fast is None
-    assert peak < 8 << 20  # the packed array would be 40 GB
-    # The line parser reads the whole text for its errors, and only counts
-    # rows too wide for it: no buffer of the first row's size either.
-    path = tmp_path / "wide.csv"
-    path.write_bytes(raw + b"0,1\n")
-    tracemalloc.start()
-    try:
         with pytest.raises(FormatError, match="^line 2: expected 100000 columns, got 2$"):
-            load_matrix(MatrixSource(format="dense-csv", path=path))
+            symmetric._read_dense(io.BytesIO(raw + b"0,1\n"))
         with pytest.raises(FormatError, match="^expected a square matrix, got 2 rows x 100000"):
-            symmetric._parse("dense-csv", io.StringIO(2 * raw.decode("ascii")))
+            symmetric._read_dense(io.BytesIO(2 * raw))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -846,7 +851,7 @@ class TestShuffledEdgeList:
         np.random.default_rng(seed).shuffle(lines)
         return m, lines
 
-    def test_duplicates_in_different_blocks(self, tmp_path, monkeypatch):
+    def test_duplicates_in_different_blocks(self, monkeypatch):
         monkeypatch.setattr(symmetric, "_BLOCK_BYTES", 32)
         monkeypatch.setattr(symmetric, "_KEY_BLOCK", 4)
         m, lines = self.lines(9, seed=4)
@@ -854,39 +859,32 @@ class TestShuffledEdgeList:
         i, j, w = lines[0].split()
         lines += ["5 5 -7.0", f"{j} {i} {w}", lines[1]]
         raw = ("\n".join(lines) + "\n").encode("ascii")
-        fast = symmetric._parse_blocks("weighted-edge-list", io.BytesIO(raw))
-        assert fast is not None
-        assert fast.values.tobytes() == m.values.tobytes()
-        path = tmp_path / "m.txt"
-        path.write_bytes(raw)
-        assert load_matrix(MatrixSource(format="weighted-edge-list", path=path)) == m
+        assert _load("weighted-edge-list", raw) == m
 
     def test_two_lines_out_of_pack_order(self):
-        # Only a pack-ordered list skips the sort; the first key being 0 and
-        # the count being N are not enough.
+        # Only a pack-ordered list skips the count of lines per pair; the
+        # first key being 0 and the count being N are not enough.
         m = random_symmetric(9, seed=6)
         rows, cols = pair_indices(9)
         lines = [f"{i} {j} {w!r}" for i, j, w in zip(rows.tolist(), cols.tolist(), m.values.tolist())]
         lines[3], lines[30] = lines[30], lines[3]
         raw = ("\n".join(lines) + "\n").encode("ascii")
-        fast = symmetric._parse_blocks("weighted-edge-list", io.BytesIO(raw))
-        assert fast is not None
-        assert fast.values.tobytes() == m.values.tobytes()
+        assert _load("weighted-edge-list", raw).values.tobytes() == m.values.tobytes()
 
-    def test_conflicting_duplicate_in_a_later_block(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_conflicting_duplicate_in_a_later_block(self, newline, monkeypatch):
+        # The line is found by reading its block again, and only that block.
         monkeypatch.setattr(symmetric, "_BLOCK_BYTES", 32)
         _, lines = self.lines(9, seed=5)
         i, j, w = lines[0].split()
-        lines.append(f"{j} {i} {float(w) + 1.0!r}")
-        text = "\n".join(lines) + "\n"
-        raw = text.encode("ascii")
-        assert symmetric._parse_blocks("weighted-edge-list", io.BytesIO(raw)) is None
-        path = tmp_path / "m.txt"
-        path.write_text(text, encoding="ascii")
-        expected = _outcome(lambda: symmetric._parse("weighted-edge-list", io.StringIO(text)))
-        assert expected[0] is FormatError
-        assert expected[1].startswith(f"line {len(lines)}: pair ")
-        assert _outcome(lambda: load_matrix(MatrixSource(format="weighted-edge-list", path=path))) == expected
+        lines.insert(30, f"{j} {i} {float(w) + 1.0!r}")
+        lines[20:20] = ["", "  "]  # blank lines count too
+        fh = CountingReader((newline.join(lines) + newline).encode("ascii"))
+        pair = (min(int(i), int(j)), max(int(i), int(j)))
+        message = f"line 33: pair {pair} repeated with conflicting weights {float(w)!r} and {float(w) + 1.0!r}"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            symmetric._read_edge_list(fh)
+        assert fh.bytes_read <= 2 * len(fh.getvalue()) + 2 * 32
 
 
 def test_save_handles_extreme_values(tmp_path):

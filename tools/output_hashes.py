@@ -8,14 +8,18 @@ and after. Covered outputs:
 - the per-replicate dump CSVs of the rejection-rate and null experiments;
 - the files written by the CLI's ``esd``, ``qq`` and ``simulate``;
 - the CLI's ``test`` report on a seeded n=300 matrix in each text format,
-  with LF and with CRLF line ends, and as upper-triangle text and as dense
-  CSV with form feeds among its separators (read by the line parser), on a
-  file of tied integer scores with ``--ties random``, and the exit code and
-  stderr record of two asymmetric dense files (one bad pair; a small bad
-  pair in an early row and a larger one in the last row) and of the tied
-  file and its scores plus one under the default ``--ties error``. The
-  files are written here with ``repr`` of each float, not with
-  ``save_matrix``, so a change to the writer cannot change the input;
+  with LF and with CRLF line ends, as upper-triangle text and as dense CSV
+  with form feeds among its separators, as dense CSV with vertical tabs,
+  and as an edge list whose last line repeats a pair with the other zero,
+  on a file of tied integer scores with ``--ties random``, and the exit
+  code and stderr record of two asymmetric dense files (one bad pair; a
+  small bad pair in an early row and a larger one in the last row), of a
+  ``#`` line near the end of a file in each format, of upper-triangle text
+  with one value too many, of an edge list whose last line conflicts with
+  its first, and of the tied file and its scores plus one under the
+  default ``--ties error``. The files are written here with ``repr`` of
+  each float, not with ``save_matrix``, so a change to the writer cannot
+  change the input;
 - for each of those ``test`` input files, the bytes of ``load_matrix(...).values``
   and of ``rank_transform(..., policy).values`` under the run's tie policy, or
   the error either one raises, so parse results and ranks are checked on
@@ -240,12 +244,26 @@ def cli_test_runs(out: Path) -> list[tuple[str, list[str], Path]]:
     # names the worst pair, not the first.
     rows[5][2] = repr(float(rows[5][2]) + 1e-6)
     add("asymmetric-two-pairs", "dense-csv", [",".join(row) for row in rows], "\n")
-    # A valid dense file with form feeds after some commas, read by the line parser only.
+    # A valid dense file with form feeds after some commas.
     dense = _text_lines("dense-csv", tokens)
     add("dense-csv-formfeed", "dense-csv", [line.replace(",", ",\x0c", 3) for line in dense], "\n")
-    # A form feed is outside plain numeric text, so only the line parser reads this file.
+    # Form feeds between the values of upper-triangle text.
     pairs = ["\x0c".join(tokens[i : i + 2]) for i in range(0, n_pairs, 2)]
     add("upper-triangle-formfeed", "upper-triangle-text", [str(TEST_N), *pairs], "\n")
+    # Labels from here on were added after the 83 above; each is a named fault or separator.
+    add("dense-csv-vtab", "dense-csv", [line.replace(",", "\x0b,", 5) for line in dense], "\n")
+    for format in ("dense-csv", "upper-triangle-text", "weighted-edge-list"):
+        # Lines padded to 24 characters make each file two blocks of ~1 MiB;
+        # the note is in the second.
+        lines = [line.rjust(24) for line in _text_lines(format, tokens)]
+        lines.insert(len(lines) - 3, "# a note")
+        add(f"{format}-comment", format, lines, "\n")
+    add("upper-triangle-extra-value", "upper-triangle-text", [str(TEST_N), *tokens, "0.5"], "\n")
+    edges = _text_lines("weighted-edge-list", tokens)
+    i, j, w = edges[0].split()
+    add("edge-list-conflict", "weighted-edge-list", edges + [f"{j} {i} {float(w) + 1.0!r}"], "\n")
+    zero = [f"{i} {j} 0.0", *edges[1:], f"{j} {i} -0.0"]
+    add("edge-list-repeat-other-zero", "weighted-edge-list", zero, "\n")
     return runs
 
 
