@@ -17,12 +17,16 @@ where LAPACK needs it.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
+import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Any, Callable, Generator, Iterable, Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -265,10 +269,16 @@ def load_matrix(source: MatrixSource) -> SymmetricMatrix:
 
     The file is read once (an edge list twice, once to count its lines), in
     blocks of whole lines of about 1 MiB, each parsed in one vectorized pass
-    straight into the row-major tail of the result's buffer: no stage holds
-    the whole file, an n x n array or a second copy. A block that breaks the
-    grammar (README, "Input grammar") is checked line by line for its first
-    faulty line's error; faults of the whole file come once every line passed.
+    and folded, in file order, into the row-major tail of the result's
+    buffer: no stage holds the whole file, an n x n array or a second copy.
+    On Linux the file is cut at line ends into one byte range per CPU, or
+    fewer, so that each has at least 2 MiB; this process parses the first,
+    and a forked worker each other one, whose blocks it holds until they
+    are folded here. Values and errors are those of one range. A block
+    that breaks the grammar (README, "Input grammar") is checked line by
+    line for its first faulty line's error; faults of the whole file come
+    once every line passed. Every worker is reaped before this returns or
+    raises; a worker that dies is a ChildProcessError.
 
     Parameters
     ----------
@@ -285,6 +295,8 @@ def load_matrix(source: MatrixSource) -> SymmetricMatrix:
         Dense input asymmetric beyond ``1e-9 * max(1, |entry|)``.
     FileNotFoundError
         The file does not exist.
+    ChildProcessError
+        A worker process ended before sending its blocks (killed, say).
     """
     with open(source.path, "rb") as fh:
         if source.format == "dense-csv":
@@ -342,19 +354,28 @@ _BLOCK_BYTES = 1 << 20
 # Entries per block of the edge-key build and its checks, and tokens per
 # conversion of upper-triangle text.
 _KEY_BLOCK = _TOKENS = 1 << 16
+# A file on disk is cut into one byte range per CPU, each parsed by its own
+# process, while each range gets at least this many bytes: below that, a
+# forked process costs more than it saves. Fork is used on Linux only.
+_RANGE_BYTES = 1 << 21
+_FORK = sys.platform.startswith("linux")
 
 
-def _blocks(fh: IO[bytes], start: int = 0, lineno: int = 1) -> Iterator[tuple[int, int, bytes]]:
+def _blocks(
+    fh: IO[bytes], start: int = 0, lineno: int = 1, stop: int | None = None
+) -> Generator[tuple[int, int, bytes], None, int]:
     """(first line, byte offset, text) of each block of ``fh`` from line ``lineno`` at ``start``.
 
     Blocks are whole lines of about _BLOCK_BYTES, with CRLF and a lone CR
-    read as LF. A CR that ends one read waits for the next, so a CRLF split
-    between two reads is still one line end. Blocks of whitespace are skipped.
+    read as LF, up to byte ``stop``, which ends a line (the end of the file
+    if None). A CR that ends one read waits for the next, so a CRLF split
+    between two reads is still one line end. Blocks of whitespace are
+    skipped. Returns the number of the line after the last.
     """
     fh.seek(start)
     pending, at_end = b"", False
     while not at_end:
-        chunk = fh.read(_BLOCK_BYTES)
+        chunk = fh.read(_BLOCK_BYTES if stop is None else min(_BLOCK_BYTES, stop - fh.tell()))
         at_end = not chunk
         data, held = pending + chunk, b""
         del chunk  # only the block is held while the caller parses it
@@ -371,6 +392,110 @@ def _blocks(fh: IO[bytes], start: int = 0, lineno: int = 1) -> Iterator[tuple[in
         # where lines are short.
         lineno += int(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n")))
         start = fh.tell() - len(pending)  # pending holds no line end but a held CR
+    return lineno
+
+
+def _line_at(fh: IO[bytes], offset: int) -> int:
+    """The number of the line that starts at byte ``offset`` of ``fh``."""
+    blocks = _blocks(fh, stop=offset)
+    while True:
+        try:
+            next(blocks)
+        except StopIteration as end:
+            return end.value
+
+
+def _line_end(fh: IO[bytes], at: int) -> int:
+    """The offset just past the first line end at or after byte ``at`` (a CRLF is one), else the end."""
+    fh.seek(at)
+    while chunk := fh.read(1 << 16):
+        ends = [p for p in (chunk.find(b"\n"), chunk.find(b"\r")) if p >= 0]
+        if ends:
+            end = at + min(ends) + 1
+            if chunk[min(ends)] == ord("\r"):
+                fh.seek(end)
+                end += fh.read(1) == b"\n"
+            return end
+        at += len(chunk)
+    return at
+
+
+def _ranges(fh: IO[bytes]) -> list[tuple[int, int]]:
+    """(start, stop) of each byte range of ``fh``, which ends at a line end.
+
+    One range per CPU this process may run on, for a file on disk on Linux
+    and while each gets at least _RANGE_BYTES; else the whole file.
+    """
+    size = fh.seek(0, io.SEEK_END)
+    count = 1
+    if _FORK and isinstance(fh, io.BufferedReader):
+        count = max(1, min(len(os.sched_getaffinity(0)), size // _RANGE_BYTES))
+    cuts = [0]
+    for k in range(1, count):
+        cut = _line_end(fh, max(k * size // count, cuts[-1]))
+        if cut >= size:
+            break
+        cuts.append(cut)
+    cuts.append(size)
+    return list(zip(cuts, cuts[1:]))
+
+
+class _Block(NamedTuple):
+    """A block of one byte range, and what its format's pure conversion made of it."""
+
+    value: Any  # None where the conversion refused the block
+    lineno: int  # its first line, counted from the start of its range
+    offset: int
+    span: tuple[int, int]  # (start, stop) of its range
+    text: bytes | None  # the block, kept in the range this process reads itself
+
+
+def _range_blocks(fh: IO[bytes], span: tuple[int, int], convert, keep: bool) -> Iterator[_Block]:
+    """The blocks of one byte range of ``fh``, each converted by ``convert``; ``keep``: with their text.
+
+    ``convert`` refuses with None or numpy's ValueError; a block with a
+    byte outside the grammar is refused before it is converted.
+    """
+    for lineno, offset, text in _blocks(fh, span[0], 1, span[1]):
+        yield _Block(_value(convert, text), lineno, offset, span, text if keep else None)
+
+
+def _value(convert, text: bytes):
+    try:
+        return None if text.translate(None, _PLAIN_BYTES) else convert(text)
+    except ValueError:  # numpy's conversion errors
+        return None
+
+
+def _held_blocks(fd: int, span: tuple[int, int], convert) -> list[_Block]:
+    """A worker's blocks of one range, up to the first it refuses, read through its own file description."""
+    held = []
+    with open(f"/proc/self/fd/{fd}", "rb") as fh:
+        for block in _range_blocks(fh, span, convert, keep=False):
+            held.append(block)
+            if block.value is None:
+                break
+    return held
+
+
+@contextlib.contextmanager
+def _converted(fh: IO[bytes], convert) -> Iterator[Iterator[_Block]]:
+    """The blocks of ``fh`` in file order, each converted by ``convert``.
+
+    This process reads the first range of ``_ranges`` itself, a block at a
+    time. A forked worker reads each other range whole and holds its blocks
+    until they are read here, in turn; every worker is reaped on leaving.
+    """
+    spans = _ranges(fh)
+    own = _range_blocks(fh, spans[0], convert, keep=True)
+    if len(spans) == 1:
+        yield own
+        return
+    from .forked import forked
+
+    tasks = [functools.partial(_held_blocks, fh.fileno(), span, convert) for span in spans[1:]]
+    with forked(tasks) as received:
+        yield itertools.chain(own, *received)
 
 
 def _lines(block: bytes, lineno: int) -> Iterator[tuple[int, bytes]]:
@@ -380,19 +505,19 @@ def _lines(block: bytes, lineno: int) -> Iterator[tuple[int, bytes]]:
             yield k, line
 
 
-def _parsed(parse, block: bytes, lineno: int, check: Callable[[int, str], None]):
-    """``parse(block)``, or the error of the first faulty line of a block it refuses.
+def _refuse(fh: IO[bytes], block: _Block, check: Callable[[int, str], None]) -> NoReturn:
+    """Raise the error of the first faulty line of a block its conversion or its fold refused.
 
-    ``parse`` refuses with None or numpy's ValueError; ``check(k, text)``
-    raises line k's error, if any, under its format's rules.
+    ``check(k, text)`` raises line k's error, if any, under its format's
+    rules. A worker's block is read again from the start of its range, and
+    the lines before that range are counted to number its lines.
     """
-    try:
-        result = None if block.translate(None, _PLAIN_BYTES) else parse(block)
-    except ValueError:  # numpy's conversion errors
-        result = None
-    if result is not None:
-        return result
-    for k, line in _lines(block, lineno):
+    start, stop = block.span
+    text = block.text
+    if text is None:
+        text = next(b for _, at, b in _blocks(fh, start, 1, stop) if at == block.offset)
+    lineno = block.lineno + _line_at(fh, start) - 1
+    for k, line in _lines(text, lineno):
         try:
             check(k, line.decode("utf-8"))
         except UnicodeDecodeError as exc:
@@ -413,6 +538,17 @@ def _check_value(token: str, k: int) -> None:
         raise FormatError(f"line {k}: non-finite value {token!r}")
 
 
+def _dense_rows(block: bytes) -> np.ndarray | None:
+    """The rows of a block of dense CSV, if numpy reads them as one width of finite values."""
+    try:
+        rows = np.loadtxt(io.BytesIO(block), delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # numpy reads a line of blanks as one empty field
+        kept = b"\n".join(line for _, line in _lines(block, 1))
+        rows = np.loadtxt(io.BytesIO(kept), delimiter=",", comments=None, ndmin=2)
+    # The fold drops the diagonal, whose tokens must still be finite.
+    return rows if np.isfinite(rows).all() else None
+
+
 def _read_dense(fh: IO[bytes]) -> SymmetricMatrix:
     width = None
 
@@ -425,20 +561,38 @@ def _read_dense(fh: IO[bytes]) -> SymmetricMatrix:
         if len(fields) != width:
             raise FormatError(f"line {k}: expected {width} columns, got {len(fields)}")
 
-    def parse(block: bytes) -> np.ndarray | None:
+    def folded(blocks: Iterator[_Block]) -> Iterator[np.ndarray]:
         nonlocal width
-        try:
-            rows = np.loadtxt(io.BytesIO(block), delimiter=",", comments=None, ndmin=2)
-        except ValueError:  # numpy reads a line of blanks as one empty field
-            kept = b"\n".join(line for _, line in _lines(block, 1))
-            rows = np.loadtxt(io.BytesIO(kept), delimiter=",", comments=None, ndmin=2)
-        width = width or rows.shape[1]
-        # The fold drops the diagonal, whose tokens must still be finite.
-        return rows if rows.shape[1] == width and np.isfinite(rows).all() else None
+        for block in blocks:
+            rows = block.value
+            if rows is not None:
+                width = width or rows.shape[1]
+            if rows is None or rows.shape[1] != width:
+                _refuse(fh, block, check)
+            yield rows
 
-    rows = (_parsed(parse, block, k, check) for k, _, block in _blocks(fh))
     # A file too short for its first row's width makes nothing of size N.
-    return _fold_rows(rows, fh.seek(0, io.SEEK_END))
+    size = fh.seek(0, io.SEEK_END)
+    with _converted(fh, _dense_rows) as blocks:
+        return _fold_rows(folded(blocks), size)
+
+
+def _upper_values(block: bytes) -> tuple[bytes, np.ndarray] | None:
+    """A block of upper-triangle text's first token, and the values of all its tokens.
+
+    Each value but the first must be finite: the first may be the dimension.
+    """
+    chunks, rest = [], block
+    while rest:
+        # At most _TOKENS at a time: a token's bytes object costs ~48
+        # bytes, 30 MiB for a block of two-digit scores.
+        tokens = rest.split(None, _TOKENS)
+        rest = tokens.pop() if len(tokens) > _TOKENS else b""
+        if not chunks:
+            first = tokens[0]
+        chunks.append(np.array(tokens, dtype=np.float64))
+    values = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    return (first, values) if np.isfinite(values[1:]).all() else None
 
 
 def _read_upper_triangle(fh: IO[bytes]) -> SymmetricMatrix:
@@ -461,33 +615,33 @@ def _read_upper_triangle(fh: IO[bytes]) -> SymmetricMatrix:
                 _check_value(token, k)
                 filled += 1
 
-    def parse(rest: bytes) -> bool | None:
-        # The dimension and count are kept only once the whole block is read,
-        # so check() reads a refused block from the state it started in.
-        nonlocal n, blas, filled
-        dim, count = n, filled
-        while rest:
-            # At most _TOKENS at a time: a token's bytes object costs ~48
-            # bytes, 30 MiB for a block of two-digit scores.
-            tokens = rest.split(None, _TOKENS)
-            rest = tokens.pop() if len(tokens) > _TOKENS else b""
-            if dim is None:
-                dim = int(tokens.pop(0))
+    with _converted(fh, _upper_values) as blocks:
+        for block in blocks:
+            # The dimension and count change only once a block is taken
+            # whole, so check() reads a refused block from where it started.
+            dim, values = n, None
+            if block.value is not None:
+                first, values = block.value
+                if dim is None:
+                    try:
+                        dim, values = int(first), values[1:]
+                    except ValueError:
+                        values = None
+                elif not math.isfinite(values[0]):
+                    values = None
+            if values is None or dim < 2 or filled + values.size > dim * (dim - 1) // 2:
+                _refuse(fh, block, check)
+            end = filled + values.size
+            if n is None:
+                n = dim
                 # N tokens need 2N - 1 bytes: for a dimension too large for
                 # the file nothing of size N is made, and values are counted.
-                if dim >= 2 and dim * (dim - 1) + 1 <= size:
-                    blas = np.empty(dim * (dim + 1) // 2)
-            values, end = np.array(tokens, dtype=np.float64), count + len(tokens)
-            if dim < 2 or end > dim * (dim - 1) // 2 or not np.isfinite(values).all():
-                return None
+                if n * (n - 1) + 1 <= size:
+                    blas = np.empty(n * (n + 1) // 2)
             if blas is not None:
-                blas[dim + count : dim + end] = values
-            count = end
-        n, filled = dim, count
-        return True
-
-    for lineno, _, block in _blocks(fh):
-        _parsed(parse, block, lineno, check)
+                blas[n + filled : n + end] = values
+            filled = end
+            del block, values  # not held while the next block is read and converted
     if n is None:
         raise FormatError("empty input")
     if filled != n * (n - 1) // 2:
@@ -510,27 +664,35 @@ def _check_edge(k: int, line: str) -> None:
         raise FormatError(f"line {k}: node index above {2**63 - 1} in {line!r}")
 
 
-def _read_edge_list(fh: IO[bytes]) -> SymmetricMatrix:
-    def parse(block: bytes) -> np.ndarray | None:
-        rows = np.loadtxt(io.BytesIO(block), dtype=_EDGE_DTYPE, comments=None, ndmin=1)
-        ok = min(rows["i"].min(), rows["j"].min()) >= 0 and np.isfinite(rows["w"]).all()
-        return rows if ok else None
+def _edge_rows(block: bytes) -> np.ndarray | None:
+    """The lines of a block of an edge list, if numpy reads each as 'i j w', i, j >= 0, w finite."""
+    rows = np.loadtxt(io.BytesIO(block), dtype=_EDGE_DTYPE, comments=None, ndmin=1)
+    ok = min(rows["i"].min(), rows["j"].min()) >= 0 and np.isfinite(rows["w"]).all()
+    return rows if ok else None
 
-    # A first pass counts the lines, so the second fills arrays of their size.
-    lines = sum(block.count(b"\n") + (not block.endswith(b"\n")) for *_, block in _blocks(fh))
-    # Indices are int32 while there are fewer than 2^31 lines. A larger
-    # index names more pairs than there are lines, and widens them to int64.
-    i = np.empty(lines, dtype=np.int32 if lines < 2**31 else np.int64)
-    j, w = np.empty_like(i), np.empty(lines)
-    filled, starts = 0, []  # starts: (first row, first line, byte offset) of each block
-    for lineno, offset, block in _blocks(fh):
-        starts.append((filled, lineno, offset))
-        rows = _parsed(parse, block, lineno, _check_edge)
-        if max(rows["i"].max(), rows["j"].max()) > np.iinfo(i.dtype).max:
-            i, j = i.astype(np.int64), j.astype(np.int64)
-        stop = filled + rows.shape[0]
-        i[filled:stop], j[filled:stop], w[filled:stop] = rows["i"], rows["j"], rows["w"]
-        filled = stop
+
+def _read_edge_list(fh: IO[bytes]) -> SymmetricMatrix:
+    size = fh.seek(0, io.SEEK_END)
+    with _converted(fh, _edge_rows) as converted:
+        # The lines are counted first, so the blocks fill arrays of their size.
+        lines = _line_at(fh, size)
+        # Indices are int32 while there are fewer than 2^31 lines. A larger
+        # index names more pairs than there are lines, and widens them to int64.
+        i = np.empty(lines, dtype=np.int32 if lines < 2**31 else np.int64)
+        j, w = np.empty_like(i), np.empty(lines)
+        # starts: (first row, first line in its range, byte offset, range start) of each block
+        filled, starts = 0, []
+        for block in converted:
+            rows = block.value
+            if rows is None:
+                _refuse(fh, block, _check_edge)
+            starts.append((filled, block.lineno, block.offset, block.span[0]))
+            if max(rows["i"].max(), rows["j"].max()) > np.iinfo(i.dtype).max:
+                i, j = i.astype(np.int64), j.astype(np.int64)
+            stop = filled + rows.shape[0]
+            i[filled:stop], j[filled:stop], w[filled:stop] = rows["i"], rows["j"], rows["w"]
+            filled = stop
+            del block, rows  # not held while the next block is read and converted
     if not filled:
         raise FormatError("empty input")
     i, j, w = i[:filled], j[:filled], w[:filled]
@@ -569,7 +731,8 @@ def _read_edge_list(fh: IO[bytes]) -> SymmetricMatrix:
             if distinct == n_pairs and clash.size:
                 prior, row = rows[[clash, clash + 1]][:, np.argmin(rows[clash + 1])].tolist()
                 # Read the line of that row again, from the start of its block.
-                first, lineno, offset = next(at for at in reversed(starts) if at[0] <= row)
+                first, lineno, offset, start = next(at for at in reversed(starts) if at[0] <= row)
+                lineno += _line_at(fh, start) - 1
                 texts = (kl for k, _, b in _blocks(fh, offset, lineno) for kl in _lines(b, k))
                 k, line = next(kl for at, kl in enumerate(texts, start=first) if at == row)
                 pair = tuple(sorted(int(x) for x in line.split()[:2]))

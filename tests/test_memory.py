@@ -4,12 +4,14 @@ Each bound is a multiple of one packed array, 8N bytes with N = n(n-1)/2,
 measured with tracemalloc at n = 1000; the rank transform's tighter bounds
 are also measured at n = 2000, where its temporaries of a fixed block size
 weigh less. The result a call returns counts toward its peak, and the
-caller's input does not. One test reads a child process's peak resident
+caller's input does not. Two tests read a child process's peak resident
 set (VmHWM) instead: that a serial Monte Carlo run's peak does not grow
-with its replicate count.
+with its replicate count, and the peaks of a load in two byte ranges, in
+the process and in the worker it forks.
 """
 
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -205,13 +207,17 @@ def test_save_matrix_streams_rows(matrix_files, tmp_path, format):
         assert path.read_text() == expected
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize(
     "format, bound",
-    [("dense-csv", 2.5), ("upper-triangle-text", 3.25), ("weighted-edge-list", 4.5)],
+    [("dense-csv", 2.0), ("upper-triangle-text", 2.3), ("weighted-edge-list", 2.9)],
 )
-def test_load_matrix_peak(matrix_files, format, bound):
+def test_load_matrix_peak(matrix_files, format, bound, cpus, monkeypatch):
     # The file is read in blocks into the packed values: no stage holds the
-    # whole file, an n x n array or a second copy of the result.
+    # whole file, an n x n array or a second copy of the result. With two
+    # CPUs a worker parses the second half, and this process's peak is the
+    # one it has reading the file alone; the worker's is bounded below.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     values, paths = matrix_files
     matrix, peak = peak_arrays(load_matrix, MatrixSource(format, paths[format]))
     assert matrix.values.tobytes() == values.tobytes()
@@ -290,3 +296,57 @@ def test_from_dense_peak(matrix_files):
     assert isinstance(error, AsymmetryError)
     assert str(error).startswith(f"entries (0,{N_DIM - 1}) and ({N_DIM - 1},0) differ by ")
     assert peak <= 1.15
+
+
+# Peak RSS in KiB, read in a fresh process loading a file in two ranges:
+# this process's VmHWM before and after the load, and for its worker, its
+# VmRSS as its task starts (pages it shares with its parent count only once
+# it touches them) and its peak, read from wait4 as it is reaped.
+RANGED_LOAD = """
+import os, sys
+from rankspectral import MatrixSource, load_matrix, symmetric
+
+os.sched_getaffinity = lambda pid: {0, 1}  # two ranges, whatever the CPUs
+def status(key):
+    return int(next(line.split()[1] for line in open("/proc/self/status") if line.startswith(key)))
+held_blocks = symmetric._held_blocks
+def measured(*args):
+    print("start", status("VmRSS:"), flush=True)
+    return held_blocks(*args)
+symmetric._held_blocks = measured
+def waitpid(pid, options):
+    _, status, usage = os.wait4(pid, options)
+    print("peak", usage.ru_maxrss, flush=True)
+    return pid, status
+os.waitpid = waitpid
+before = status("VmHWM:")
+load_matrix(MatrixSource(sys.argv[1], sys.argv[2]))
+print("parent", before, status("VmHWM:"))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+@pytest.mark.parametrize(
+    "format, bound",
+    [("dense-csv", 2.5), ("upper-triangle-text", 2.2), ("weighted-edge-list", 3.0)],
+)
+def test_ranged_load_peak_rss(matrix_files, format, bound):
+    # In units of 8N (4 MB): this process grows by what the load holds
+    # (2.2, 1.9 and 2.7 measured). Its worker grows by its half's parsed
+    # blocks (1, 0.5 and 1.5) and the 5-8 MB of the interpreter's and
+    # numpy's pages it maps in as it runs (2.5, 2.4 and 2.8 in all); it
+    # never peaks above this process.
+    _, paths = matrix_files
+    lines = subprocess.run(
+        [sys.executable, "-c", RANGED_LOAD, format, str(paths[format])],
+        env=checkout_env(),
+        check=True,
+        capture_output=True,
+        text=True,
+    ).stdout.splitlines()
+    read = {line.split()[0]: [int(kib) for kib in line.split()[1:]] for line in lines}
+    (before, after), (start,), (peak,) = read["parent"], read["start"], read["peak"]
+    assert len(lines) == 3
+    assert (after - before) * 1024 / ARRAY_BYTES <= bound
+    assert (peak - start) * 1024 / ARRAY_BYTES <= 3.0
+    assert peak <= after

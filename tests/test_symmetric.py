@@ -2,7 +2,11 @@
 
 import io
 import math
+import os
 import re
+import signal
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -24,7 +28,7 @@ from rankspectral import (
     save_matrix,
 )
 
-from conftest import random_symmetric
+from conftest import checkout_env, random_symmetric
 from oracles import expectation_matrix, grammar_outcome, permute_nodes
 
 
@@ -895,3 +899,259 @@ def test_save_handles_extreme_values(tmp_path):
         path = tmp_path / "extreme.txt"
         save_matrix(m, path, format=format)
         assert np.array_equal(load_matrix(MatrixSource(format=format, path=path)).values, values)
+
+
+# Byte ranges: a file on disk is cut at line ends into one range per CPU,
+# parsed by forked workers; values and errors must be those of one range.
+
+
+def _line_ends(raw):
+    """The offset just past each line end of ``raw``, a CRLF counted once."""
+    return [m.end() for m in re.finditer(rb"\r\n|\r|\n", raw)]
+
+
+def _cut_at(cuts):
+    """A stand-in for ``symmetric._ranges`` that cuts every file at the offsets ``cuts``."""
+
+    def ranges(fh):
+        points = [0, *cuts, fh.seek(0, io.SEEK_END)]
+        return list(zip(points, points[1:]))
+
+    return ranges
+
+
+def _cuts(raw):
+    """Every cut of ``raw`` into 2 ranges, every cut into 3, and one into 4, at its line ends."""
+    ends = [at for at in _line_ends(raw) if at < len(raw)]
+    yield from ([at] for at in ends)
+    yield from ([a, b] for k, a in enumerate(ends) for b in ends[k + 1 :])
+    if len(ends) >= 3:
+        yield ends[:: max(1, len(ends) // 3)][:3]
+
+
+# Files of a few lines with a fault in a range of its own, or one that only
+# shows once every range is read. LF, CRLF, lone CR and runs of blank lines
+# sit next to the cuts, and the dimension line of upper-triangle text too.
+RANGE_CASES = {
+    "dense-csv": [
+        "0,1,2,3\r\n1,0,4,5\r\n\r\n\n  \n2,4,0,6\r3,5,6,0\r\n",
+        "0,1,2,3\n1,0,4,5\nx,4,0,6\n3,5,6,0\n",  # a fault in a later line
+        "0,1,2,3\n1,0,4\n2,4,0,6\n3,5,6,y\n",  # faults on both sides of a cut
+        "0,1,2,3\n1,0,4,5\n2,4,0,6\n3,5,6,inf\n",
+        "0,1,2,3\n1,0,4,5\n2,4,0,6\n3.5,5,6,0\n",  # asymmetric: rows 0 and 3
+        "0,1,2,3\n1,0,4,5\n2,4,0,6\n",  # a row short
+        "0,1,2,3\n1,0,4,5\n2,4,0,6\n3,5,6,0\n3,5,6,0\n",  # a row too many
+        "0,1,2,3\n1,0,4,5\n2,4,0,6\n3,5,6,0\n# note\n",
+    ],
+    "upper-triangle-text": [
+        "4\r\n\r\n\n1 2\r\n3\n\n4 5\r6\n",
+        "4\n1 2 3 4 5 6\n",
+        "  \n\n4\n1 2 3\n4 5 6\n",
+        "4 1\n2\n3\n4\n5\n6\n7\n",  # one value too many, in the last line
+        "4\n1\n2\n3\n4\n5\n",  # too few values
+        "4\n1\n2\nx\n4\n5\n6\n",
+        "4\n1\n2\nx\n4\n5\n1e400\n",  # faults on both sides of a cut
+        "4.0\n1\n2\n3\n4\n5\n6\n",
+        "1\n1\n2\n",
+    ],
+    "weighted-edge-list": [
+        "2 3 6\r\n0 1 1\r\n\r\n\n1 2 4\r0 2 2\n3 1 5\n0 3 3\n",
+        "0 1 1\n0 2 2\n0 3 3\n1 2 4\n1 3 5\n2 3 6\n1 0 1.5\n",  # a conflicting repeat
+        "0 1 1\n0 2 2\n1 0 1.5\n0 3 3\n1 2 4\n1 3 5\n2 3 6\n2 0 2.5\n",  # two
+        "0 1 1\n0 2 2\n0 3 3\n1 2 4\n1 3 5\n3 3 6\n",  # a pair missing
+        "0 1 1\n0 2 2\n0 3\n1 2 4\n1 3 5\n2 3 6\n",
+        "0 1 1\n0 2 x\n0 3 3\n1 2 4\n1 -3 5\n2 3 6\n",  # faults on both sides of a cut
+        "0 1 1\n0 2 2\n0 3 3\n1 2 4\n1 3 5\n2 3 6\n0 1 -0.0\n1 0 1\n",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "format, text", [(f, text) for f, texts in RANGE_CASES.items() for text in texts]
+)
+def test_range_cuts_do_not_change_the_outcome(format, text, monkeypatch):
+    # The values bit for bit, or the error's class and text, line number
+    # included, are those of the file read as one range, wherever it is cut.
+    raw = text.encode("ascii")
+    expected = _outcome(lambda: _load(format, raw))
+    assert _follows(expected, grammar_outcome(format, raw))
+    for cuts in _cuts(raw):
+        monkeypatch.setattr(symmetric, "_ranges", _cut_at(cuts))
+        assert _outcome(lambda: _load(format, raw)) == expected, cuts
+
+
+@pytest.mark.parametrize(
+    "format, lines, fault, message",
+    [
+        ("dense-csv", ["0,1,2,3", "1,0,4,5", "2,4,0,6", "3,5,6,0"], "1,x,3,4", "non-numeric value 'x'"),
+        ("upper-triangle-text", ["4 1", "2 3", "4 5", "6"], "1e400", "non-finite value '1e400'"),
+        ("weighted-edge-list", ["0 1 1", "0 2 2", "1 2 3", "0 0 5"], "0 1", "expected 'i j w', got '0 1'"),
+    ],
+)
+def test_the_first_fault_is_named_whichever_range_holds_it(format, lines, fault, message, monkeypatch):
+    # Lines 3, 6, 17 and 20 of 24, the rest blank, in 3 ranges: lines 1-12,
+    # 13-14 and 15-24. A fault in the first, in a later one, or one on each
+    # side of a cut, where the earlier wins.
+    body = [""] * 24
+    for k, line in zip((2, 5, 16, 19), lines):
+        body[k] = line
+    for at in ((5,), (16,), (5, 19), (16, 19)):
+        faulty = list(body)
+        for k in at:
+            faulty[k] = fault
+        cut = len("\r\n".join(faulty[:12]).encode()) + 2
+        monkeypatch.setattr(symmetric, "_ranges", _cut_at([cut, cut + 4]))
+        raw = ("\r\n".join(faulty) + "\r\n").encode("ascii")
+        with pytest.raises(FormatError, match=f"^line {at[0] + 1}: {re.escape(message)}$"):
+            _load(format, raw)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+@pytest.mark.parametrize("format", symmetric.FORMATS)
+def test_ranges_follow_the_cpus_and_end_at_line_ends(cpus, format, tmp_path, monkeypatch):
+    # One range per CPU while each gets _RANGE_BYTES, each ending at a
+    # line end, never between a CR and its LF; the outcome is unchanged.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(symmetric, "_RANGE_BYTES", 8)
+    text = RANGE_CASES[format][0].encode("ascii")
+    path = tmp_path / "m.txt"
+    for pad in range(12):
+        raw = b" " * pad + text
+        path.write_bytes(raw)
+        with open(path, "rb") as fh:
+            spans = symmetric._ranges(fh)
+        assert len(spans) == min(cpus, len(raw) // 8)
+        assert [start for start, _ in spans] == [0, *(stop for _, stop in spans[:-1])]
+        assert spans[-1][1] == len(raw)
+        assert {stop for _, stop in spans[:-1]} <= set(_line_ends(raw))
+        # Read from memory, a file is one range.
+        assert _outcome(lambda: _load(format, raw)) == _outcome(lambda: _read(format, io.BytesIO(raw)))
+
+
+def test_ranges_are_cut_only_for_files_on_disk(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(symmetric, "_RANGE_BYTES", 1)
+    assert symmetric._ranges(io.BytesIO(b"0,1\n1,0\n")) == [(0, 8)]
+    monkeypatch.setattr(symmetric, "_FORK", False)  # not Linux
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.txt"
+        path.write_bytes(b"0,1\n1,0\n")
+        with open(path, "rb") as fh:
+            assert symmetric._ranges(fh) == [(0, 8)]
+
+
+@pytest.mark.parametrize("format", symmetric.FORMATS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_byte_ranges_do_not_change_the_outcome(format, data):
+    # 2 to 4 ranges of a few bytes each, over blocks of a few bytes.
+    raw = data.draw(matrix_texts(format)).encode("utf-8")
+    expected = _outcome(lambda: _load(format, raw))
+    cpus = data.draw(st.integers(2, 4))
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))), mock.patch.multiple(
+        symmetric, _RANGE_BYTES=1, _BLOCK_BYTES=data.draw(st.sampled_from([3, 1 << 20]))
+    ):
+        assert _outcome(lambda: _load(format, raw)) == expected
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the worker processes forked during the test; four ranges for any file."""
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(symmetric, "_RANGE_BYTES", 16)
+    return pids
+
+
+def _reaped(pids):
+    """Whether every process in ``pids`` has ended and been reaped."""
+    for pid in pids:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue
+        return False
+    return True
+
+
+DENSE = "".join(",".join(map(repr, row)) + "\n" for row in random_symmetric(12, seed=5).dense().tolist())
+
+
+def test_no_worker_outlives_a_load(forks):
+    m = _load("dense-csv", DENSE.encode("ascii"))
+    assert m == random_symmetric(12, seed=5)
+    assert len(forks) == 3 and _reaped(forks)
+    forks.clear()
+    rows = DENSE.splitlines(keepends=True)
+    rows[10] = "x" + rows[10][rows[10].index(",") :]
+    with pytest.raises(FormatError, match="^line 11: non-numeric value 'x'$"):
+        _load("dense-csv", "".join(rows).encode("ascii"))
+    assert len(forks) == 3 and _reaped(forks)
+
+
+@pytest.mark.parametrize("when", ["before parsing", "holding its blocks"])
+def test_a_killed_worker_is_an_error_not_a_hang(forks, monkeypatch, when):
+    held_blocks = symmetric._held_blocks
+
+    def killed(*args):
+        held = held_blocks(*args) if when == "holding its blocks" else None
+        os.kill(os.getpid(), signal.SIGKILL)
+        return held
+
+    monkeypatch.setattr(symmetric, "_held_blocks", killed)
+    with pytest.raises(ChildProcessError, match=r"^worker process \d+ ended before sending its results$"):
+        _load("dense-csv", DENSE.encode("ascii"))
+    assert len(forks) == 3 and _reaped(forks)
+
+
+def test_interrupted_load_reaps_its_workers(forks, monkeypatch):
+    # KeyboardInterrupt in this process, folding its own range's second block.
+    parent, calls = os.getpid(), []
+    value = symmetric._value
+
+    def interrupted(convert, text):
+        calls.append(os.getpid())
+        if calls.count(parent) == 2 and os.getpid() == parent:
+            raise KeyboardInterrupt
+        return value(convert, text)
+
+    monkeypatch.setattr(symmetric, "_value", interrupted)
+    monkeypatch.setattr(symmetric, "_BLOCK_BYTES", 64)
+    with pytest.raises(KeyboardInterrupt):
+        _load("dense-csv", DENSE.encode("ascii"))
+    assert len(forks) == 3 and _reaped(forks)
+
+
+def test_a_worker_task_error_is_raised_here(forks, monkeypatch):
+    def failing(*args):
+        raise MemoryError("no room")
+
+    monkeypatch.setattr(symmetric, "_held_blocks", failing)
+    with pytest.raises(RuntimeError, match=r"^worker process \d+ failed: MemoryError: no room$"):
+        _load("dense-csv", DENSE.encode("ascii"))
+    assert _reaped(forks)
+
+
+def test_cli_import_and_a_small_load_leave_the_fork_helper_unloaded(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text(DENSE)
+    script = (
+        "import sys, rankspectral.cli\n"
+        "loaded = 'rankspectral.forked' in sys.modules\n"
+        "rankspectral.load_matrix(rankspectral.MatrixSource('dense-csv', sys.argv[1]))\n"
+        "print(loaded, 'rankspectral.forked' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(path)], capture_output=True, text=True, env=checkout_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False False\n"

@@ -17,9 +17,11 @@ and after. Covered outputs:
   ``#`` line near the end of a file in each format, of upper-triangle text
   with one value too many, of an edge list whose last line conflicts with
   its first, and of the tied file and its scores plus one under the
-  default ``--ties error``. The files are written here with ``repr`` of
-  each float, not with ``save_matrix``, so a change to the writer cannot
-  change the input;
+  default ``--ties error``; and at n=800, files large enough to be parsed
+  in one byte range per CPU, in each format, as upper-triangle text with
+  one value too many, and as an edge list whose last line conflicts with
+  its first. The files are written here with ``repr`` of each float, not
+  with ``save_matrix``, so a change to the writer cannot change the input;
 - for each of those ``test`` input files, the bytes of ``load_matrix(...).values``
   and of ``rank_transform(..., policy).values`` under the run's tie policy, or
   the error either one raises, so parse results and ranks are checked on
@@ -193,16 +195,17 @@ def cli_outputs(out: Path) -> list[Path]:
 
 TEST_N = 300
 TEST_SEED = 31
+RANGED_N = 800
 
 
-def _text_lines(format: str, tokens: list[str]) -> list[str]:
-    """The lines of a ``format`` file of the packed ``tokens`` at n = TEST_N."""
-    rows, cols = np.triu_indices(TEST_N, k=1)
+def _text_lines(format: str, tokens: list[str], n: int = TEST_N) -> list[str]:
+    """The lines of a ``format`` file of the packed ``tokens`` at dimension ``n``."""
+    rows, cols = np.triu_indices(n, k=1)
     if format == "upper-triangle-text":
-        return [str(TEST_N)] + tokens
+        return [str(n)] + tokens
     if format == "weighted-edge-list":
         return [f"{i} {j} {t}" for i, j, t in zip(rows.tolist(), cols.tolist(), tokens)]
-    dense = np.full((TEST_N, TEST_N), "0.0", dtype=object)
+    dense = np.full((n, n), "0.0", dtype=object)
     dense[rows, cols] = tokens
     dense[cols, rows] = tokens
     return [",".join(row) for row in dense]
@@ -264,6 +267,18 @@ def cli_test_runs(out: Path) -> list[tuple[str, list[str], Path]]:
     add("edge-list-conflict", "weighted-edge-list", edges + [f"{j} {i} {float(w) + 1.0!r}"], "\n")
     zero = [f"{i} {j} 0.0", *edges[1:], f"{j} {i} -0.0"]
     add("edge-list-repeat-other-zero", "weighted-edge-list", zero, "\n")
+    # Files of 6-13 MB, which load_matrix cuts into one byte range per CPU on
+    # Linux, against a base that may read them as one.
+    big = np.random.Generator(np.random.PCG64(TEST_SEED + 2)).standard_normal(RANGED_N * (RANGED_N - 1) // 2)
+    big_tokens = list(map(repr, big.tolist()))
+    for format in ("dense-csv", "upper-triangle-text", "weighted-edge-list"):
+        add(f"{format}-n{RANGED_N}", format, _text_lines(format, big_tokens, RANGED_N), "\n")
+    extra = [str(RANGED_N), *big_tokens, "0.5"]  # the value too many is in the last range
+    add(f"upper-triangle-extra-value-n{RANGED_N}", "upper-triangle-text", extra, "\n")
+    edges = _text_lines("weighted-edge-list", big_tokens, RANGED_N)
+    i, j, w = edges[0].split()  # repeated, conflicting, in the last range
+    conflict = edges + [f"{j} {i} {float(w) + 1.0!r}"]
+    add(f"edge-list-conflict-n{RANGED_N}", "weighted-edge-list", conflict, "\n")
     return runs
 
 
