@@ -1,7 +1,9 @@
 """Run tasks in forked worker processes that hold their results until the parent reads them.
 
 Linux only: the caller decides whether to fork, and imports this module only
-when it does, so a serial run never loads it.
+when it does, so a serial run never loads it. The caller runs no other
+thread of Python's: a worker would inherit the locks such a thread holds,
+and the warning filters swapped below would race with it.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ def forked(tasks: list[Callable[[], list]]) -> Iterator[list[Iterator]]:
             read_end, write_end = os.pipe()
             try:
                 with warnings.catch_warnings():
-                    # Python 3.12 warns of fork in a process with threads, such
-                    # as BLAS's; a worker only parses and writes to its pipe.
+                    # Python 3.12 warns of fork in a process with threads, and
+                    # counts BLAS's; a worker only parses and writes to its pipe.
                     warnings.simplefilter("ignore", DeprecationWarning)
                     pid = os.fork()
             except BaseException:

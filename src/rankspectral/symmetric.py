@@ -24,6 +24,7 @@ import itertools
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Callable, Generator, Iterable, Iterator, NamedTuple, NoReturn
@@ -270,15 +271,18 @@ def load_matrix(source: MatrixSource) -> SymmetricMatrix:
     The file is read once (an edge list twice, once to count its lines), in
     blocks of whole lines of about 1 MiB, each parsed in one vectorized pass
     and folded, in file order, into the row-major tail of the result's
-    buffer: no stage holds the whole file, an n x n array or a second copy.
-    On Linux the file is cut at line ends into one byte range per CPU, or
-    fewer, so that each has at least 2 MiB; this process parses the first,
-    and a forked worker each other one, whose blocks it holds until they
-    are folded here. Values and errors are those of one range. A block
-    that breaks the grammar (README, "Input grammar") is checked line by
-    line for its first faulty line's error; faults of the whole file come
-    once every line passed. Every worker is reaped before this returns or
-    raises; a worker that dies is a ChildProcessError.
+    buffer: in this process no stage holds the whole file, an n x n array
+    or a second copy. On Linux, with two CPUs or more and no other thread
+    of Python's, a file of at least 4 MiB is cut at a line end into two
+    byte ranges; this process parses the first, and one forked worker the
+    second, whose parsed blocks it holds until they are folded here: about
+    half the file's, 8N bytes of dense rows, 4N of upper-triangle values or
+    12N of edge-list lines, on top of this process's peak. Values and
+    errors are those of one range. A block that breaks the grammar
+    (README, "Input grammar") is checked line by line for its first faulty
+    line's error; faults of the whole file come once every line passed.
+    Every worker is reaped before this returns or raises; a worker that
+    dies is a ChildProcessError.
 
     Parameters
     ----------
@@ -355,9 +359,11 @@ _BLOCK_BYTES = 1 << 20
 # conversion of upper-triangle text.
 _KEY_BLOCK = _TOKENS = 1 << 16
 # A file on disk is cut into one byte range per CPU, each parsed by its own
-# process, while each range gets at least this many bytes: below that, a
-# forked process costs more than it saves. Fork is used on Linux only.
+# process, up to _MAX_RANGES and while each range gets at least _RANGE_BYTES:
+# what was timed (README, "Input grammar"). Workers hold (ranges - 1)/ranges
+# of the parsed file between them. Fork is used on Linux only.
 _RANGE_BYTES = 1 << 21
+_MAX_RANGES = 2
 _FORK = sys.platform.startswith("linux")
 
 
@@ -423,13 +429,16 @@ def _line_end(fh: IO[bytes], at: int) -> int:
 def _ranges(fh: IO[bytes]) -> list[tuple[int, int]]:
     """(start, stop) of each byte range of ``fh``, which ends at a line end.
 
-    One range per CPU this process may run on, for a file on disk on Linux
-    and while each gets at least _RANGE_BYTES; else the whole file.
+    One range per CPU this process may run on, up to _MAX_RANGES and while
+    each gets at least _RANGE_BYTES, for a file on disk on Linux in a
+    process with no other thread of Python's (a forked worker would inherit
+    the locks they hold); else the whole file.
     """
     size = fh.seek(0, io.SEEK_END)
     count = 1
-    if _FORK and isinstance(fh, io.BufferedReader):
-        count = max(1, min(len(os.sched_getaffinity(0)), size // _RANGE_BYTES))
+    if _FORK and isinstance(fh, io.BufferedReader) and threading.active_count() == 1:
+        cpus = len(os.sched_getaffinity(0))
+        count = max(1, min(cpus, _MAX_RANGES, size // _RANGE_BYTES))
     cuts = [0]
     for k in range(1, count):
         cut = _line_end(fh, max(k * size // count, cuts[-1]))
@@ -467,14 +476,36 @@ def _value(convert, text: bytes):
         return None
 
 
+class _Positioned:
+    """A file descriptor read with pread, from an offset of its own.
+
+    A forked worker reads the descriptor it shares with its parent without
+    moving the parent's offset, and opens no path, so it needs no /proc.
+    """
+
+    def __init__(self, fd: int) -> None:
+        self.fd, self.at = fd, 0
+
+    def seek(self, at: int) -> int:
+        self.at = at
+        return at
+
+    def tell(self) -> int:
+        return self.at
+
+    def read(self, size: int) -> bytes:
+        data = os.pread(self.fd, size, self.at)
+        self.at += len(data)
+        return data
+
+
 def _held_blocks(fd: int, span: tuple[int, int], convert) -> list[_Block]:
-    """A worker's blocks of one range, up to the first it refuses, read through its own file description."""
+    """A worker's blocks of one range, up to the first it refuses, read from the inherited ``fd``."""
     held = []
-    with open(f"/proc/self/fd/{fd}", "rb") as fh:
-        for block in _range_blocks(fh, span, convert, keep=False):
-            held.append(block)
-            if block.value is None:
-                break
+    for block in _range_blocks(_Positioned(fd), span, convert, keep=False):
+        held.append(block)
+        if block.value is None:
+            break
     return held
 
 

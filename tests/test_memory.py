@@ -213,10 +213,11 @@ def test_save_matrix_streams_rows(matrix_files, tmp_path, format):
     [("dense-csv", 2.0), ("upper-triangle-text", 2.3), ("weighted-edge-list", 2.9)],
 )
 def test_load_matrix_peak(matrix_files, format, bound, cpus, monkeypatch):
-    # The file is read in blocks into the packed values: no stage holds the
-    # whole file, an n x n array or a second copy of the result. With two
-    # CPUs a worker parses the second half, and this process's peak is the
-    # one it has reading the file alone; the worker's is bounded below.
+    # The file is read in blocks into the packed values: in this process no
+    # stage holds the whole file, an n x n array or a second copy of the
+    # result. With two CPUs a worker parses the second half, and this
+    # process's peak is the one it has reading the file alone; the worker's
+    # is bounded below.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     values, paths = matrix_files
     matrix, peak = peak_arrays(load_matrix, MatrixSource(format, paths[format]))
@@ -298,7 +299,7 @@ def test_from_dense_peak(matrix_files):
     assert peak <= 1.15
 
 
-# Peak RSS in KiB, read in a fresh process loading a file in two ranges:
+# Peak RSS in KiB, read in a fresh process with 4 CPUs loading a file in two ranges:
 # this process's VmHWM before and after the load, and for its worker, its
 # VmRSS as its task starts (pages it shares with its parent count only once
 # it touches them) and its peak, read from wait4 as it is reaped.
@@ -306,7 +307,7 @@ RANGED_LOAD = """
 import os, sys
 from rankspectral import MatrixSource, load_matrix, symmetric
 
-os.sched_getaffinity = lambda pid: {0, 1}  # two ranges, whatever the CPUs
+os.sched_getaffinity = lambda pid: {0, 1, 2, 3}  # two ranges: no more are cut
 def status(key):
     return int(next(line.split()[1] for line in open("/proc/self/status") if line.startswith(key)))
 held_blocks = symmetric._held_blocks
@@ -327,15 +328,16 @@ print("parent", before, status("VmHWM:"))
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 @pytest.mark.parametrize(
-    "format, bound",
-    [("dense-csv", 2.5), ("upper-triangle-text", 2.2), ("weighted-edge-list", 3.0)],
+    "format, bound, total",
+    [("dense-csv", 2.5, 5.0), ("upper-triangle-text", 2.2, 4.6), ("weighted-edge-list", 3.0, 5.8)],
 )
-def test_ranged_load_peak_rss(matrix_files, format, bound):
+def test_ranged_load_peak_rss(matrix_files, format, bound, total):
     # In units of 8N (4 MB): this process grows by what the load holds
-    # (2.2, 1.9 and 2.7 measured). Its worker grows by its half's parsed
-    # blocks (1, 0.5 and 1.5) and the 5-8 MB of the interpreter's and
-    # numpy's pages it maps in as it runs (2.5, 2.4 and 2.8 in all); it
-    # never peaks above this process.
+    # (2.2, 1.9 and 2.7 measured). Its one worker, whatever the CPUs, grows
+    # by its half's parsed blocks (1, 0.5 and 1.5) and the 5-8 MB of the
+    # interpreter's and numpy's pages it maps in as it runs (2.5, 2.5 and
+    # 2.8 in all); the two together by 4.7, 4.3 and 5.5. The worker never
+    # peaks above this process.
     _, paths = matrix_files
     lines = subprocess.run(
         [sys.executable, "-c", RANGED_LOAD, format, str(paths[format])],
@@ -349,4 +351,5 @@ def test_ranged_load_peak_rss(matrix_files, format, bound):
     assert len(lines) == 3
     assert (after - before) * 1024 / ARRAY_BYTES <= bound
     assert (peak - start) * 1024 / ARRAY_BYTES <= 3.0
+    assert (after - before + peak - start) * 1024 / ARRAY_BYTES <= total
     assert peak <= after

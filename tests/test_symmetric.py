@@ -1,5 +1,6 @@
 """Packed storage, indexing, and matrix IO."""
 
+import builtins
 import io
 import math
 import os
@@ -8,6 +9,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -901,8 +903,9 @@ def test_save_handles_extreme_values(tmp_path):
         assert np.array_equal(load_matrix(MatrixSource(format=format, path=path)).values, values)
 
 
-# Byte ranges: a file on disk is cut at line ends into one range per CPU,
-# parsed by forked workers; values and errors must be those of one range.
+# Byte ranges: a file on disk is cut at line ends into one range per CPU, two
+# at most, parsed by forked workers; values and errors must be those of one
+# range. Tests patch the cap to cut up to four.
 
 
 def _line_ends(raw):
@@ -1009,10 +1012,12 @@ def test_the_first_fault_is_named_whichever_range_holds_it(format, lines, fault,
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 @pytest.mark.parametrize("format", symmetric.FORMATS)
 def test_ranges_follow_the_cpus_and_end_at_line_ends(cpus, format, tmp_path, monkeypatch):
-    # One range per CPU while each gets _RANGE_BYTES, each ending at a
-    # line end, never between a CR and its LF; the outcome is unchanged.
+    # One range per CPU, up to 4 here, while each gets _RANGE_BYTES, each
+    # ending at a line end, never between a CR and its LF; the outcome is
+    # unchanged.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(symmetric, "_RANGE_BYTES", 8)
+    monkeypatch.setattr(symmetric, "_MAX_RANGES", 4)
     text = RANGE_CASES[format][0].encode("ascii")
     path = tmp_path / "m.txt"
     for pad in range(12):
@@ -1026,6 +1031,16 @@ def test_ranges_follow_the_cpus_and_end_at_line_ends(cpus, format, tmp_path, mon
         assert {stop for _, stop in spans[:-1]} <= set(_line_ends(raw))
         # Read from memory, a file is one range.
         assert _outcome(lambda: _load(format, raw)) == _outcome(lambda: _read(format, io.BytesIO(raw)))
+
+
+def test_ranges_are_two_at_most(tmp_path, monkeypatch):
+    # More ranges than two were never timed on more CPUs than two.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(symmetric, "_RANGE_BYTES", 1)
+    path = tmp_path / "m.txt"
+    path.write_bytes(DENSE.encode("ascii"))
+    with open(path, "rb") as fh:
+        assert len(symmetric._ranges(fh)) == 2
 
 
 def test_ranges_are_cut_only_for_files_on_disk(monkeypatch):
@@ -1049,7 +1064,7 @@ def test_byte_ranges_do_not_change_the_outcome(format, data):
     expected = _outcome(lambda: _load(format, raw))
     cpus = data.draw(st.integers(2, 4))
     with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))), mock.patch.multiple(
-        symmetric, _RANGE_BYTES=1, _BLOCK_BYTES=data.draw(st.sampled_from([3, 1 << 20]))
+        symmetric, _RANGE_BYTES=1, _MAX_RANGES=cpus, _BLOCK_BYTES=data.draw(st.sampled_from([3, 1 << 20]))
     ):
         assert _outcome(lambda: _load(format, raw)) == expected
 
@@ -1069,6 +1084,7 @@ def forks(monkeypatch):
     monkeypatch.setattr(os, "fork", recorded)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     monkeypatch.setattr(symmetric, "_RANGE_BYTES", 16)
+    monkeypatch.setattr(symmetric, "_MAX_RANGES", 4)
     return pids
 
 
@@ -1139,6 +1155,34 @@ def test_a_worker_task_error_is_raised_here(forks, monkeypatch):
     with pytest.raises(RuntimeError, match=r"^worker process \d+ failed: MemoryError: no room$"):
         _load("dense-csv", DENSE.encode("ascii"))
     assert _reaped(forks)
+
+
+def test_workers_open_no_path(forks, monkeypatch):
+    # Workers read the descriptor they inherit, so a host without /proc
+    # mounted loads like any other.
+    real_open = builtins.open
+
+    def no_proc(file, *args, **kwargs):
+        if str(file).startswith("/proc"):
+            raise FileNotFoundError(2, "No such file or directory", str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", no_proc)
+    assert _load("dense-csv", DENSE.encode("ascii")) == random_symmetric(12, seed=5)
+    assert len(forks) == 3 and _reaped(forks)
+
+
+def test_no_fork_while_another_thread_runs(forks):
+    # A worker would inherit the locks the other thread holds.
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert _load("dense-csv", DENSE.encode("ascii")) == random_symmetric(12, seed=5)
+    finally:
+        release.set()
+        thread.join()
+    assert forks == []
 
 
 def test_cli_import_and_a_small_load_leave_the_fork_helper_unloaded(tmp_path):

@@ -18,7 +18,7 @@ and after. Covered outputs:
   with one value too many, of an edge list whose last line conflicts with
   its first, and of the tied file and its scores plus one under the
   default ``--ties error``; and at n=800, files large enough to be parsed
-  in one byte range per CPU, in each format, as upper-triangle text with
+  in two byte ranges, in each format, as upper-triangle text with
   one value too many, and as an edge list whose last line conflicts with
   its first. The files are written here with ``repr`` of each float, not
   with ``save_matrix``, so a change to the writer cannot change the input;
@@ -267,8 +267,8 @@ def cli_test_runs(out: Path) -> list[tuple[str, list[str], Path]]:
     add("edge-list-conflict", "weighted-edge-list", edges + [f"{j} {i} {float(w) + 1.0!r}"], "\n")
     zero = [f"{i} {j} 0.0", *edges[1:], f"{j} {i} -0.0"]
     add("edge-list-repeat-other-zero", "weighted-edge-list", zero, "\n")
-    # Files of 6-13 MB, which load_matrix cuts into one byte range per CPU on
-    # Linux, against a base that may read them as one.
+    # Files of 6-12 MiB, which load_matrix cuts into two byte ranges on
+    # Linux with two CPUs, against a base that may read them as one.
     big = np.random.Generator(np.random.PCG64(TEST_SEED + 2)).standard_normal(RANGED_N * (RANGED_N - 1) // 2)
     big_tokens = list(map(repr, big.tolist()))
     for format in ("dense-csv", "upper-triangle-text", "weighted-edge-list"):
