@@ -45,8 +45,8 @@ EXIT_NOINPUT = 66
 EXIT_INTERNAL = 70
 
 _THREADS_HELP = (
-    "replicates run at once, each in a forked worker process on Linux (a thread "
-    "elsewhere) with its own memory peak; results do not depend on it"
+    "replicates run at once, replicate i in forked worker i mod threads (a thread off Linux or "
+    "beside another Python thread), each with its own memory peak; results do not depend on it"
 )
 
 

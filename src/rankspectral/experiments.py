@@ -9,9 +9,9 @@ Reports therefore depend only on the arguments, never on thread count or
 scheduling; ``threads`` and wall time are execution details and stay out of
 the config echo.
 
-``threads=k`` runs k replicates at once: on Linux in k worker processes
-forked for the call, which inherit the replicate closure and send back only
-its tuple of floats; elsewhere in k threads of this process.
+``threads=k`` runs k replicates at once: on Linux in min(k, count) processes
+forked by :func:`rankspectral.forked.forked`, worker i mod k running replicate
+i; off Linux or beside another thread of Python's, in k threads of this process.
 
 Replicate counts for the canned reproduction targets follow the source
 protocols: 400 for the rejection-rate tables, 2000 for the QQ figures, 3000
@@ -22,9 +22,9 @@ cheap runs, and the effective counts are echoed in every report.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
-import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -85,8 +85,8 @@ class ExperimentConfig:
     ``f1`` and ``f2`` are distribution spec strings (see
     :func:`rankspectral.models.parse_distribution`); ``f2`` and ``n1`` apply
     to the two_block and planted models as in their samplers. ``threads`` is
-    the number of replicates run at once (forked worker processes on Linux,
-    threads elsewhere) and is deliberately not part of the config echo.
+    the number of replicates run at once (see the module docstring) and is
+    deliberately not part of the config echo.
     """
 
     experiment: str
@@ -190,14 +190,6 @@ class ExperimentReport:
         return json.dumps(self.to_dict(include_elapsed=include_elapsed), indent=indent)
 
 
-# Forked workers inherit the replicate closure, which cannot be pickled. Fork
-# is used on Linux only (macOS system libraries are not fork-safe, Windows
-# has no fork); other platforms run the replicates in threads.
-_FORK_WORKERS = sys.platform.startswith("linux")
-# The closure a forked worker runs, set once in each worker by its pool.
-_pool_worker: Callable[[int], tuple] | None = None
-
-
 def _annotated(worker: Callable[[int], tuple], i: int) -> tuple:
     try:
         return worker(i)
@@ -207,20 +199,22 @@ def _annotated(worker: Callable[[int], tuple], i: int) -> tuple:
         raise ExperimentError(f"replicate {i} failed: {exc}") from exc
 
 
-def _adopt(worker: Callable[[int], tuple]) -> None:
-    global _pool_worker
-    _pool_worker = worker
-
-
-def _guarded(i: int) -> tuple:
-    return _annotated(_pool_worker, i)
+def _share(worker: Callable[[int], tuple], indices: range) -> list:
+    """The results of ``worker`` at ``indices`` in order, up to its first error, returned last."""
+    rows = []
+    for i in indices:
+        try:
+            rows.append(_annotated(worker, i))
+        except ExperimentError as exc:
+            return rows + [exc]
+    return rows
 
 
 def _run_indexed(worker: Callable[[int], tuple], count: int, threads: int) -> list[tuple]:
     """Evaluate worker(0..count-1), results in index order, errors annotated.
 
-    With ``threads`` > 1 the replicates run in that many forked processes
-    (threads where fork is not used). A worker process that dies, say killed
+    ``threads`` > 1 runs as the module docstring says; the lowest failing
+    replicate's error is raised, and a worker process that dies, say killed
     for memory, is an :class:`ExperimentError`, not a hang. ``threads`` < 1
     is refused before any replicate runs.
     """
@@ -228,26 +222,26 @@ def _run_indexed(worker: Callable[[int], tuple], count: int, threads: int) -> li
         raise ValueError(f"threads must be >= 1, got {threads}")
     if threads == 1:
         return [_annotated(worker, i) for i in range(count)]
-    # Deferred: the process pool's modules cost ~13 ms of import a serial run never needs.
-    if not _FORK_WORKERS:
+    from .forked import forked, may_fork  # deferred: a serial run never loads it
+
+    if not may_fork():
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(lambda i: _annotated(worker, i), range(count)))
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    with ProcessPoolExecutor(
-        max_workers=min(threads, count),
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_adopt,
-        initargs=(worker,),
-    ) as pool:
-        try:
-            return list(pool.map(_guarded, range(count)))
-        except BrokenProcessPool as exc:
-            raise ExperimentError(f"a replicate worker process died: {exc}") from exc
+    k = min(threads, count)
+    # Forked workers inherit the replicate closure, which cannot be pickled.
+    tasks = [functools.partial(_share, worker, range(w, count, k)) for w in range(k)]
+    rows = []
+    try:
+        with forked(tasks) as received:
+            for i in range(count):
+                rows.append(next(received[i % k]))
+                if isinstance(rows[-1], ExperimentError):
+                    raise rows[-1]
+    except ChildProcessError as exc:
+        raise ExperimentError(f"a replicate worker process died: {exc}") from exc
+    return rows
 
 
 def _replicate_columns(

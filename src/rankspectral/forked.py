@@ -1,9 +1,9 @@
 """Run tasks in forked worker processes that hold their results until the parent reads them.
 
-Linux only: the caller decides whether to fork, and imports this module only
-when it does, so a serial run never loads it. The caller runs no other
-thread of Python's: a worker would inherit the locks such a thread holds,
-and the warning filters swapped below would race with it.
+The package's only way to start a worker process, imported only by a call
+that asks for workers. :func:`may_fork` decides: on Linux (macOS system
+libraries are not fork-safe), with no other thread of Python's, whose locks
+a worker would inherit and which would race with the warning filters below.
 """
 
 from __future__ import annotations
@@ -12,10 +12,17 @@ import contextlib
 import os
 import pickle
 import signal
+import sys
+import threading
 import warnings
 from typing import Callable, Iterator
 
 _END = "end"
+
+
+def may_fork() -> bool:
+    """Whether this process may fork workers now: on Linux, with no other thread of Python's."""
+    return sys.platform.startswith("linux") and threading.active_count() == 1
 
 
 @contextlib.contextmanager
@@ -36,7 +43,7 @@ def forked(tasks: list[Callable[[], list]]) -> Iterator[list[Iterator]]:
             try:
                 with warnings.catch_warnings():
                     # Python 3.12 warns of fork in a process with threads, and
-                    # counts BLAS's; a worker only parses and writes to its pipe.
+                    # counts BLAS's; a worker runs its task and writes to its pipe.
                     warnings.simplefilter("ignore", DeprecationWarning)
                     pid = os.fork()
             except BaseException:

@@ -23,8 +23,7 @@ import io
 import itertools
 import math
 import os
-import sys
-import threading
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Callable, Generator, Iterable, Iterator, NamedTuple, NoReturn
@@ -355,16 +354,16 @@ _NUMBER_BYTES = b"0123456789+-.eE"
 _PLAIN_BYTES = _NUMBER_BYTES + b", \t\x0b\x0c\n"
 _EDGE_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 _BLOCK_BYTES = 1 << 20
-# Entries per block of the edge-key build and its checks, and tokens per
-# conversion of upper-triangle text.
-_KEY_BLOCK = _TOKENS = 1 << 16
+_KEY_BLOCK = 1 << 16  # entries per block of the edge-key build and its checks
+# Bytes of upper-triangle text converted at a time, cut after a token: a token's
+# bytes object costs ~36 bytes, 12 MiB for a block of two-digit scores at once.
+_TOKEN_BYTES = 1 << 13
 # A file on disk is cut into one byte range per CPU, each parsed by its own
 # process, up to _MAX_RANGES and while each range gets at least _RANGE_BYTES:
 # what was timed (README, "Input grammar"). Workers hold (ranges - 1)/ranges
-# of the parsed file between them. Fork is used on Linux only.
+# of the parsed file between them.
 _RANGE_BYTES = 1 << 21
 _MAX_RANGES = 2
-_FORK = sys.platform.startswith("linux")
 
 
 def _blocks(
@@ -430,15 +429,15 @@ def _ranges(fh: IO[bytes]) -> list[tuple[int, int]]:
     """(start, stop) of each byte range of ``fh``, which ends at a line end.
 
     One range per CPU this process may run on, up to _MAX_RANGES and while
-    each gets at least _RANGE_BYTES, for a file on disk on Linux in a
-    process with no other thread of Python's (a forked worker would inherit
-    the locks they hold); else the whole file.
+    each gets at least _RANGE_BYTES, for a file on disk where
+    :func:`~rankspectral.forked.may_fork` allows workers; else the whole file.
     """
     size = fh.seek(0, io.SEEK_END)
-    count = 1
-    if _FORK and isinstance(fh, io.BufferedReader) and threading.active_count() == 1:
-        cpus = len(os.sched_getaffinity(0))
-        count = max(1, min(cpus, _MAX_RANGES, size // _RANGE_BYTES))
+    count = min(_MAX_RANGES, size // _RANGE_BYTES) if isinstance(fh, io.BufferedReader) else 1
+    if count > 1:
+        from .forked import may_fork
+
+        count = min(count, len(os.sched_getaffinity(0))) if may_fork() else 1
     cuts = [0]
     for k in range(1, count):
         cut = _line_end(fh, max(k * size // count, cuts[-1]))
@@ -608,22 +607,21 @@ def _read_dense(fh: IO[bytes]) -> SymmetricMatrix:
         return _fold_rows(folded(blocks), size)
 
 
-def _upper_values(block: bytes) -> tuple[bytes, np.ndarray] | None:
-    """A block of upper-triangle text's first token, and the values of all its tokens.
+def _upper_values(block: bytes) -> tuple[bytes, list[np.ndarray]] | None:
+    """A block of upper-triangle text's first token, and its tokens' values in chunks, never joined.
 
     Each value but the first must be finite: the first may be the dimension.
     """
-    chunks, rest = [], block
-    while rest:
-        # At most _TOKENS at a time: a token's bytes object costs ~48
-        # bytes, 30 MiB for a block of two-digit scores.
-        tokens = rest.split(None, _TOKENS)
-        rest = tokens.pop() if len(tokens) > _TOKENS else b""
-        if not chunks:
-            first = tokens[0]
-        chunks.append(np.array(tokens, dtype=np.float64))
-    values = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    return (first, values) if np.isfinite(values[1:]).all() else None
+    chunks = []
+    # Pieces of _TOKEN_BYTES and the rest of the token they end in, if any.
+    for piece in re.finditer(rb"(?s).{1,%d}\S*" % _TOKEN_BYTES, block):
+        if tokens := piece[0].split():
+            if not chunks:
+                first = tokens[0]
+            chunks.append(np.array(tokens, dtype=np.float64))
+            if not np.isfinite(chunks[-1][len(chunks) == 1 :]).all():
+                return None
+    return first, chunks
 
 
 def _read_upper_triangle(fh: IO[bytes]) -> SymmetricMatrix:
@@ -650,19 +648,19 @@ def _read_upper_triangle(fh: IO[bytes]) -> SymmetricMatrix:
         for block in blocks:
             # The dimension and count change only once a block is taken
             # whole, so check() reads a refused block from where it started.
-            dim, values = n, None
+            dim, chunks = n, None
             if block.value is not None:
-                first, values = block.value
+                first, chunks = block.value
                 if dim is None:
                     try:
-                        dim, values = int(first), values[1:]
+                        dim, chunks[0] = int(first), chunks[0][1:]
                     except ValueError:
-                        values = None
-                elif not math.isfinite(values[0]):
-                    values = None
-            if values is None or dim < 2 or filled + values.size > dim * (dim - 1) // 2:
+                        chunks = None
+                elif not math.isfinite(chunks[0][0]):
+                    chunks = None
+            end = None if chunks is None else filled + sum(chunk.size for chunk in chunks)
+            if chunks is None or dim < 2 or end > dim * (dim - 1) // 2:
                 _refuse(fh, block, check)
-            end = filled + values.size
             if n is None:
                 n = dim
                 # N tokens need 2N - 1 bytes: for a dimension too large for
@@ -670,9 +668,9 @@ def _read_upper_triangle(fh: IO[bytes]) -> SymmetricMatrix:
                 if n * (n - 1) + 1 <= size:
                     blas = np.empty(n * (n + 1) // 2)
             if blas is not None:
-                blas[n + filled : n + end] = values
+                np.concatenate(chunks, out=blas[n + filled : n + end])
             filled = end
-            del block, values  # not held while the next block is read and converted
+            del block, chunks  # not held while the next block is read and converted
     if n is None:
         raise FormatError("empty input")
     if filled != n * (n - 1) // 2:

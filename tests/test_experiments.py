@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from rankspectral import (
     subspace_recovery_ratio_experiment,
     variance_transition_experiment,
 )
-from rankspectral import experiments
+from rankspectral import experiments, forked
 from rankspectral.experiments import _run_indexed
 
 from conftest import checkout_env
@@ -115,16 +116,24 @@ class TestRunIndexed:
         out = _run_indexed(lambda i: (i * i,), 6, threads=3)
         assert [row[0] for row in out] == [0, 1, 4, 9, 16, 25]
 
-    def test_error_annotated_with_index(self):
+    @pytest.mark.parametrize("route", ["fork", "thread"])
+    @pytest.mark.parametrize("faults, first", [((3,), 3), ((3, 4), 3), ((2, 5), 2)])
+    def test_lowest_failing_index_wins(self, faults, first, route, monkeypatch):
+        # With two workers, faults in one worker's share or in both: the
+        # lowest failing replicate is named, as in a serial run.
+        if route == "thread":
+            monkeypatch.setattr(forked, "may_fork", lambda: False)
+        elif not forked.may_fork():
+            pytest.skip("replicates run in threads here")
+
         def worker(i):
-            if i == 3:
+            if i in faults:
                 raise ValueError("boom")
             return (i,)
 
-        with pytest.raises(ExperimentError, match="replicate 3 failed: boom"):
-            _run_indexed(worker, 5, threads=1)
-        with pytest.raises(ExperimentError, match="replicate 3 failed"):
-            _run_indexed(worker, 5, threads=2)
+        for threads in (1, 2):
+            with pytest.raises(ExperimentError, match=f"^replicate {first} failed: boom$"):
+                _run_indexed(worker, 8, threads)
 
     @pytest.mark.parametrize("threads", [0, -4])
     def test_fewer_than_one_thread_is_refused_before_any_replicate(self, threads):
@@ -149,7 +158,7 @@ def run_script(source: str, env: dict, timeout: float = 300) -> str:
     return done.stdout
 
 
-@pytest.mark.skipif(not experiments._FORK_WORKERS, reason="replicates run in threads here")
+@pytest.mark.skipif(not forked.may_fork(), reason="replicates run in threads here")
 class TestWorkerProcesses:
     def test_dead_worker_is_an_error_not_a_hang(self):
         out = run_script(
@@ -172,6 +181,33 @@ class TestWorkerProcesses:
             timeout=120,
         )
         assert out.startswith("a replicate worker process died")
+
+    def test_workers_are_forked_by_the_one_helper(self):
+        # min(threads, count) workers, and no process pool's modules.
+        out = run_script(
+            """
+            import os, sys
+            from rankspectral import null_distribution_experiment
+
+            forks = []
+            fork = os.fork
+
+            def recorded():
+                pid = fork()
+                if pid:
+                    forks.append(pid)
+                return pid
+
+            os.fork = recorded
+            null_distribution_experiment(n=10, replicates=2, seed=1, threads=3)
+            null_distribution_experiment(n=10, replicates=5, seed=1, threads=2)
+            print(len(forks))
+            print("multiprocessing" in sys.modules, "concurrent.futures.process" in sys.modules)
+            """,
+            checkout_env(),
+            timeout=120,
+        )
+        assert out.split("\n") == ["4", "False False", ""]
 
     def test_forked_after_blas_threads_started(self):
         # With no thread pins, OpenBLAS sizes its pool to the cores and starts
@@ -520,13 +556,13 @@ EXPERIMENT_RUNS = [
     ),
     pytest.param(
         lambda threads: variance_transition_experiment(
-            10, [0, 10, math.inf], 3, seed=3, threads=threads
+            10, [0, 10, 45, math.inf], 2, seed=3, threads=threads
         ),
         id="variance_transition",
     ),
     pytest.param(
         lambda threads: operator_norm_tail_experiment(
-            n=12, replicates=6, seed=4, threads=threads
+            n=12, replicates=7, seed=4, threads=threads
         ),
         id="operator_norm_tail",
     ),
@@ -536,7 +572,7 @@ EXPERIMENT_RUNS = [
     ),
     pytest.param(
         lambda threads: subspace_recovery_ratio_experiment(
-            n=12, mu=1.0, sigma=1.0, replicates=6, seed=6, threads=threads
+            n=12, mu=1.0, sigma=1.0, replicates=7, seed=6, threads=threads
         ),
         id="subspace_recovery_ratio",
     ),
@@ -558,11 +594,33 @@ def assert_same_report(a, b):
 
 @pytest.mark.parametrize("run", EXPERIMENT_RUNS)
 def test_thread_count_invisible_in_every_experiment(run):
-    assert_same_report(run(1), run(2))
+    # No replicate count here is a multiple of 3: three workers get uneven shares.
+    serial = run(1)
+    assert_same_report(serial, run(2))
+    assert_same_report(serial, run(3))
 
 
 @pytest.mark.parametrize("run", EXPERIMENT_RUNS)
 def test_thread_route_gives_the_same_bits(run, monkeypatch):
-    # The route of platforms without fork: worker threads in this process.
-    monkeypatch.setattr(experiments, "_FORK_WORKERS", False)
+    # The route off Linux or beside another thread: worker threads in this process.
+    monkeypatch.setattr(forked, "may_fork", lambda: False)
     assert_same_report(run(1), run(2))
+
+
+def test_no_fork_while_another_thread_runs(forks):
+    # A worker would inherit the locks the other thread holds: replicates
+    # run in threads instead, with the same bits.
+    def run(threads):
+        return null_distribution_experiment(n=15, replicates=8, seed=2, threads=threads)
+
+    serial = run(1)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        beside = run(2)
+    finally:
+        release.set()
+        thread.join()
+    assert forks == []
+    assert_same_report(serial, beside)

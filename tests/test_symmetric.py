@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankspectral import symmetric
+from rankspectral import forked, symmetric
 from rankspectral import (
     AsymmetryError,
     FormatError,
@@ -672,9 +672,10 @@ def test_load_follows_the_grammar(format, data):
 @given(data=st.data())
 def test_block_splits_do_not_change_the_outcome(format, data):
     # Blocks of a few bytes put block edges inside and between lines,
-    # between a CR and its LF, and inside the dimension's line; a few
-    # tokens or edge keys at a time split the work inside a block too. An
-    # error's text, its line number included, is the one read in one block.
+    # between a CR and its LF, and inside the dimension's line; a few bytes
+    # of tokens or a few edge keys at a time split the work inside a block
+    # too. An error's text, its line number included, is the one read in one
+    # block.
     # Patched in the body: hypothesis refuses function-scoped fixtures like
     # monkeypatch.
     raw = data.draw(matrix_texts(format)).encode("utf-8")
@@ -682,7 +683,7 @@ def test_block_splits_do_not_change_the_outcome(format, data):
     with mock.patch.multiple(
         symmetric,
         _BLOCK_BYTES=data.draw(st.one_of(st.integers(1, 12), st.just(1 << 20))),
-        _TOKENS=data.draw(st.integers(1, 4)),
+        _TOKEN_BYTES=data.draw(st.integers(1, 8)),
         _KEY_BLOCK=data.draw(st.integers(1, 4)),
     ):
         assert _outcome(lambda: _load(format, raw)) == expected
@@ -691,9 +692,9 @@ def test_block_splits_do_not_change_the_outcome(format, data):
 @pytest.mark.parametrize("format", symmetric.FORMATS)
 @pytest.mark.parametrize("chunk", [1, 2, 5])
 def test_small_chunks_give_the_saved_matrix(format, chunk, monkeypatch):
-    # Saved text read in one block, then converted a few tokens or edge
-    # keys at a time, in pack order and shuffled.
-    monkeypatch.setattr(symmetric, "_TOKENS", chunk)
+    # Saved text read in one block, then converted a few bytes of tokens
+    # or a few edge keys at a time, in pack order and shuffled.
+    monkeypatch.setattr(symmetric, "_TOKEN_BYTES", chunk)
     monkeypatch.setattr(symmetric, "_KEY_BLOCK", chunk)
     m = random_symmetric(12, seed=chunk, low=-2.0, high=2.0)
     buf = io.StringIO()
@@ -1047,7 +1048,7 @@ def test_ranges_are_cut_only_for_files_on_disk(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     monkeypatch.setattr(symmetric, "_RANGE_BYTES", 1)
     assert symmetric._ranges(io.BytesIO(b"0,1\n1,0\n")) == [(0, 8)]
-    monkeypatch.setattr(symmetric, "_FORK", False)  # not Linux
+    monkeypatch.setattr(forked, "may_fork", lambda: False)  # not Linux, say
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.txt"
         path.write_bytes(b"0,1\n1,0\n")
@@ -1070,22 +1071,12 @@ def test_byte_ranges_do_not_change_the_outcome(format, data):
 
 
 @pytest.fixture
-def forks(monkeypatch):
+def forks(forks, monkeypatch):
     """The pids of the worker processes forked during the test; four ranges for any file."""
-    pids = []
-    fork = os.fork
-
-    def recorded():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recorded)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     monkeypatch.setattr(symmetric, "_RANGE_BYTES", 16)
     monkeypatch.setattr(symmetric, "_MAX_RANGES", 4)
-    return pids
+    return forks
 
 
 def _reaped(pids):
@@ -1183,6 +1174,20 @@ def test_no_fork_while_another_thread_runs(forks):
         release.set()
         thread.join()
     assert forks == []
+
+
+def test_workers_are_forked_only_on_linux_with_no_other_thread(monkeypatch):
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert not forked.may_fork()
+    finally:
+        release.set()
+        thread.join()
+    assert forked.may_fork() == sys.platform.startswith("linux")
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert not forked.may_fork()
 
 
 def test_cli_import_and_a_small_load_leave_the_fork_helper_unloaded(tmp_path):
