@@ -354,7 +354,8 @@ _NUMBER_BYTES = b"0123456789+-.eE"
 _PLAIN_BYTES = _NUMBER_BYTES + b", \t\x0b\x0c\n"
 _EDGE_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 _BLOCK_BYTES = 1 << 20
-_KEY_BLOCK = 1 << 16  # entries per block of the edge-key build and its checks
+# Entries per block of the edge-key build and its checks, whose temporaries' room stays in RSS.
+_KEY_BLOCK = 1 << 14
 # Bytes of upper-triangle text converted at a time, cut after a token: a token's
 # bytes object costs ~36 bytes, 12 MiB for a block of two-digit scores at once.
 _TOKEN_BYTES = 1 << 13
@@ -393,7 +394,7 @@ def _blocks(
         del data
         if block and not block.isspace():
             yield lineno, start, block
-        # numpy counts line ends about ten times faster than bytes.count
+        # numpy tallies line ends about ten times faster than bytes.count
         # where lines are short.
         lineno += int(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n")))
         start = fh.tell() - len(pending)  # pending holds no line end but a held CR
@@ -535,19 +536,25 @@ def _lines(block: bytes, lineno: int) -> Iterator[tuple[int, bytes]]:
             yield k, line
 
 
+def _lines_from(fh: IO[bytes], block: _Block) -> Iterator[tuple[int, bytes]]:
+    """:func:`_lines` of ``fh`` from ``block``'s offset to its range's end, numbered in the file.
+
+    Read across blocks: this read can end a block a line before the first did.
+    """
+    lineno = block.lineno + _line_at(fh, block.span[0]) - 1
+    for k, _, text in _blocks(fh, block.offset, lineno, block.span[1]):
+        yield from _lines(text, k)
+
+
 def _refuse(fh: IO[bytes], block: _Block, check: Callable[[int, str], None]) -> NoReturn:
     """Raise the error of the first faulty line of a block its conversion or its fold refused.
 
     ``check(k, text)`` raises line k's error, if any, under its format's
-    rules. A worker's block is read again from the start of its range, and
-    the lines before that range are counted to number its lines.
+    rules. A block of this process's range, the first, is checked from its
+    kept text; a worker's is read again from its own offset.
     """
-    start, stop = block.span
-    text = block.text
-    if text is None:
-        text = next(b for _, at, b in _blocks(fh, start, 1, stop) if at == block.offset)
-    lineno = block.lineno + _line_at(fh, start) - 1
-    for k, line in _lines(text, lineno):
+    lines = _lines(block.text, block.lineno) if block.text else _lines_from(fh, block)
+    for k, line in lines:
         try:
             check(k, line.decode("utf-8"))
         except UnicodeDecodeError as exc:
@@ -556,7 +563,7 @@ def _refuse(fh: IO[bytes], block: _Block, check: Callable[[int, str], None]) -> 
         for token in line.replace(b",", b" ").split():
             if token.translate(None, _NUMBER_BYTES):
                 raise FormatError(f"line {k}: non-numeric value {token.decode()!r}")
-    raise RuntimeError(f"numpy refused the block from line {lineno}, which keeps the grammar")
+    raise RuntimeError(f"numpy refused the block at byte {block.offset}, which keeps the grammar")
 
 
 def _check_value(token: str, k: int) -> None:
@@ -709,13 +716,13 @@ def _read_edge_list(fh: IO[bytes]) -> SymmetricMatrix:
         # index names more pairs than there are lines, and widens them to int64.
         i = np.empty(lines, dtype=np.int32 if lines < 2**31 else np.int64)
         j, w = np.empty_like(i), np.empty(lines)
-        # starts: (first row, first line in its range, byte offset, range start) of each block
+        # starts: (first row, the block without its value and text) of each block
         filled, starts = 0, []
         for block in converted:
             rows = block.value
             if rows is None:
                 _refuse(fh, block, _check_edge)
-            starts.append((filled, block.lineno, block.offset, block.span[0]))
+            starts.append((filled, block._replace(value=None, text=None)))
             if max(rows["i"].max(), rows["j"].max()) > np.iinfo(i.dtype).max:
                 i, j = i.astype(np.int64), j.astype(np.int64)
             stop = filled + rows.shape[0]
@@ -729,56 +736,48 @@ def _read_edge_list(fh: IO[bytes]) -> SymmetricMatrix:
     if n < 2:
         raise FormatError("need at least two nodes")
     n_pairs = distinct = n * (n - 1) // 2
-    if n_pairs > filled:  # too few lines for every pair, and keys that could overflow
+    if n_pairs > filled:  # too few lines for every pair, and keys could overflow
         pairs = np.stack((np.minimum(i, j), np.maximum(i, j)))[:, i != j]
         distinct = np.unique(pairs, axis=1).shape[1]
     else:
-        keys, ordered = i, filled == n_pairs  # keys are built in place over i
-        del i
-        offsets, blocks = row_offsets(n) + 1, range(0, filled, _KEY_BLOCK)
-        for lo in blocks:
-            # 1 + the pack position of each line's pair, 0 for a self-loop.
-            a, b = keys[lo : lo + _KEY_BLOCK], j[lo : lo + _KEY_BLOCK]
+        keys, offsets = i, (row_offsets(n) + 1).astype(i.dtype)  # keys are built in place over i
+        blocks = [slice(lo, lo + _KEY_BLOCK) for lo in range(0, filled, _KEY_BLOCK)]
+        for s in blocks:
+            # 1 + the pack position of each line's pair; self-loops get key 0 and weight 0.0.
+            a, b = keys[s], j[s]
+            w[s][a == b] = 0.0
             a[...] = np.where(a == b, 0, offsets[np.minimum(a, b)] + np.maximum(a, b))
-            ordered = ordered and np.array_equal(a, np.arange(lo + 1, lo + 1 + a.size))
-        del a, b, j  # the last block's views would keep i and j alive
-        if ordered:
-            keys = None  # every pair once, in pack order: w holds the values
-        else:
-            counts = np.zeros(n_pairs + 1, dtype=keys.dtype)  # lines per key
-            for lo in blocks:
-                np.add.at(counts, keys[lo : lo + _KEY_BLOCK], 1)
-            distinct = np.count_nonzero(counts[1:])
-            counts[0] = 0
-            # The rows of each pair on more than one line, by pair and then line.
-            rows = [lo + np.flatnonzero(counts[keys[lo : lo + _KEY_BLOCK]] > 1) for lo in blocks]
-            rows = np.concatenate(rows)
-            del counts
-            rows = rows[np.argsort(keys[rows], kind="stable")]
-            same = keys[rows[1:]] == keys[rows[:-1]]
-            clash = np.flatnonzero(same & (w[rows[1:]] != w[rows[:-1]]))
-            if distinct == n_pairs and clash.size:
-                prior, row = rows[[clash, clash + 1]][:, np.argmin(rows[clash + 1])].tolist()
-                # Read the line of that row again, from the start of its block.
-                first, lineno, offset, start = next(at for at in reversed(starts) if at[0] <= row)
-                lineno += _line_at(fh, start) - 1
-                texts = (kl for k, _, b in _blocks(fh, offset, lineno) for kl in _lines(b, k))
-                k, line = next(kl for at, kl in enumerate(texts, start=first) if at == row)
-                pair = tuple(sorted(int(x) for x in line.split()[:2]))
-                raise FormatError(
-                    f"line {k}: pair {pair} repeated with conflicting weights "
-                    f"{w[prior].item()!r} and {w[row].item()!r}"
-                )
-            last = rows[np.append(~same, True)[: rows.size]]  # the last line of a pair wins
+        del i, j, a, b  # the last block's views would keep i and j alive
+        # Every line's weight in its key's slot; the self-loops' one, all 0.0,
+        # is one spread_rows overwrites. A pair no line names stays nan.
+        blas = np.full(n * (n + 1) // 2, np.nan)
+        values = blas[n - 1 :]
+        for s in blocks:
+            values[keys[s]] = w[s]
+        distinct -= sum(np.count_nonzero(np.isnan(values[1:][s])) for s in blocks)  # filled >= N
     if distinct != n_pairs:
         message = f"{distinct} distinct pairs, expected {n_pairs} for n={n}"
         raise FormatError(f"incomplete edge list: {message}")
-    blas = np.empty(n * (n + 1) // 2)
-    if keys is None:
-        blas[n:] = w
-    else:
-        values = blas[n - 1 :]  # key k's slot; self-loops' is one spread_rows overwrites
-        for lo in blocks:
-            values[keys[lo : lo + _KEY_BLOCK]] = w[lo : lo + _KEY_BLOCK]
-        values[keys[last]] = w[last]
+    # A pair whose lines' weights differ in their bits holds one of them, so
+    # another of its lines differs from its slot: the pair is marked nan.
+    for s in blocks:
+        values[keys[s][values[keys[s]].view(np.int64) != w[s].view(np.int64)]] = np.nan
+    # Every line of the marked pairs, by pair and then line.
+    rows = np.concatenate([s.start + np.flatnonzero(np.isnan(values[keys[s]])) for s in blocks])
+    rows = rows[np.argsort(keys[rows], kind="stable")]
+    same = keys[rows[1:]] == keys[rows[:-1]]
+    clash = np.flatnonzero(same & (w[rows[1:]] != w[rows[:-1]]))
+    if clash.size:
+        del blas, values  # not held while the line is read again
+        prior, row = rows[[clash, clash + 1]][:, np.argmin(rows[clash + 1])].tolist()
+        # Read the line of that row again, from the start of its block.
+        first, block = next(at for at in reversed(starts) if at[0] <= row)
+        k, line = next(itertools.islice(_lines_from(fh, block), row - first, None))
+        pair = tuple(sorted(int(x) for x in line.split()[:2]))
+        raise FormatError(
+            f"line {k}: pair {pair} repeated with conflicting weights "
+            f"{w[prior].item()!r} and {w[row].item()!r}"
+        )
+    last = rows[np.append(~same, True)[: rows.size]]  # the last line of a pair wins
+    values[keys[last]] = w[last]
     return SymmetricMatrix.adopt(n, spread_rows(blas, n))

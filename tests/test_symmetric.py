@@ -434,6 +434,8 @@ class TestEdgeListParsing:
         m = self.load("0 0 7.0\n0 1 2.0\n")
         assert m.n == 2
         assert m.values[0] == 2.0
+        # Self-loops with other weights are no conflict.
+        assert self.load("0 0 7.0\n0 1 2.0\n1 1 -1.0\n0 0 -0.0\n") == m
 
     def test_consistent_duplicates_allowed(self):
         m = self.load("0 1 2.0\n1 0 2.0\n")
@@ -693,17 +695,26 @@ def test_block_splits_do_not_change_the_outcome(format, data):
 @pytest.mark.parametrize("chunk", [1, 2, 5])
 def test_small_chunks_give_the_saved_matrix(format, chunk, monkeypatch):
     # Saved text read in one block, then converted a few bytes of tokens
-    # or a few edge keys at a time, in pack order and shuffled.
+    # or a few edge keys at a time. An edge list is also read shuffled, with
+    # repeats: two of equal weights, one of them reversed, and the zero pair
+    # again as -0.0, where the last line wins. The scatter, the bit check
+    # and the last-wins fix each cross key blocks.
     monkeypatch.setattr(symmetric, "_TOKEN_BYTES", chunk)
     monkeypatch.setattr(symmetric, "_KEY_BLOCK", chunk)
-    m = random_symmetric(12, seed=chunk, low=-2.0, high=2.0)
+    values = random_symmetric(12, seed=chunk, low=-2.0, high=2.0).values.copy()
+    values[3] = 0.0  # pair (0, 4)
     buf = io.StringIO()
-    symmetric._emit(m, buf, format)
-    lines = buf.getvalue().splitlines(keepends=True)
+    symmetric._emit(SymmetricMatrix(12, values), buf, format)
+    assert _load(format, buf.getvalue().encode("ascii")).values.tobytes() == values.tobytes()
     if format == "weighted-edge-list":
+        lines = buf.getvalue().splitlines(keepends=True)
+        i, j, w = lines[20].split()
+        lines += [lines[7], f"{j} {i} {w}\n", "4 0 -0.0\n"]
         np.random.default_rng(chunk).shuffle(lines)
-    for text in (buf.getvalue(), "".join(lines)):
-        assert _load(format, text.encode("ascii")).values.tobytes() == m.values.tobytes()
+        zero = next(line for line in reversed(lines) if sorted(line.split()[:2]) == ["0", "4"])
+        values[3] = float(zero.split()[2])
+        loaded = _load(format, "".join(lines).encode("ascii"))
+        assert loaded.values.tobytes() == values.tobytes()
 
 
 class CountingReader(io.BytesIO):
@@ -869,8 +880,8 @@ class TestShuffledEdgeList:
         assert _load("weighted-edge-list", raw) == m
 
     def test_two_lines_out_of_pack_order(self):
-        # Only a pack-ordered list skips the count of lines per pair; the
-        # first key being 0 and the count being N are not enough.
+        # Every pair once, the first key 0 and N lines, yet two lines are
+        # swapped: each weight goes to its pair's slot, not its line's.
         m = random_symmetric(9, seed=6)
         rows, cols = pair_indices(9)
         lines = [f"{i} {j} {w!r}" for i, j, w in zip(rows.tolist(), cols.tolist(), m.values.tolist())]
@@ -1103,6 +1114,28 @@ def test_no_worker_outlives_a_load(forks):
     with pytest.raises(FormatError, match="^line 11: non-numeric value 'x'$"):
         _load("dense-csv", "".join(rows).encode("ascii"))
     assert len(forks) == 3 and _reaped(forks)
+
+
+def test_a_worker_block_is_read_again_from_its_own_offset(monkeypatch):
+    # A fault in line 11 of 12, in the second of two ranges, lines 7-12:
+    # this process counts the lines of the first range and reads the
+    # refused block from its offset, never the second range from its start.
+    monkeypatch.setattr(symmetric, "_BLOCK_BYTES", 16)
+    rows = DENSE.splitlines(keepends=True)
+    rows[10] = "x" + rows[10][rows[10].index(",") :]
+    cut = len("".join(rows[:6]))
+    monkeypatch.setattr(symmetric, "_ranges", _cut_at([cut]))
+    starts, blocks = [], symmetric._blocks
+
+    def recorded(fh, start=0, *args, **kwargs):
+        starts.append(start)  # in this process: a worker appends to its own copy
+        return blocks(fh, start, *args, **kwargs)
+
+    monkeypatch.setattr(symmetric, "_blocks", recorded)
+    with pytest.raises(FormatError, match="^line 11: non-numeric value 'x'$"):
+        _load("dense-csv", "".join(rows).encode("ascii"))
+    assert cut not in starts
+    assert len("".join(rows[:10])) in starts
 
 
 @pytest.mark.parametrize("when", ["before parsing", "holding its blocks"])

@@ -10,7 +10,9 @@ and after. Covered outputs:
 - the CLI's ``test`` report on a seeded n=300 matrix in each text format,
   with LF and with CRLF line ends, as upper-triangle text and as dense CSV
   with form feeds among its separators, as dense CSV with vertical tabs,
-  and as an edge list whose last line repeats a pair with the other zero,
+  as an edge list whose last line repeats a pair with the other zero, as
+  that list shuffled with a quarter of its lines repeated (half of them
+  reversed), and as a shuffled edge list missing one pair,
   on a file of tied integer scores with ``--ties random``, and the exit
   code and stderr record of two asymmetric dense files (one bad pair; a
   small bad pair in an early row and a larger one in the last row), of a
@@ -19,9 +21,10 @@ and after. Covered outputs:
   its first, and of the tied file and its scores plus one under the
   default ``--ties error``; and at n=800, files large enough to be parsed
   in two byte ranges, in each format, as upper-triangle text with
-  one value too many, and as an edge list whose last line conflicts with
-  its first. The files are written here with ``repr`` of each float, not
-  with ``save_matrix``, so a change to the writer cannot change the input;
+  one value too many, as an edge list whose last line conflicts with
+  its first, and as a shuffled edge list with repeated lines. The files
+  are written here with ``repr`` of each float, not with ``save_matrix``,
+  so a change to the writer cannot change the input;
 - for each of those ``test`` input files, the bytes of ``load_matrix(...).values``
   and of ``rank_transform(..., policy).values`` under the run's tie policy, or
   the error either one raises, so parse results and ranks are checked on
@@ -211,6 +214,17 @@ def _text_lines(format: str, tokens: list[str], n: int = TEST_N) -> list[str]:
     return [",".join(row) for row in dense]
 
 
+def _shuffled(lines: list[str], seed: int) -> list[str]:
+    """``lines`` and a quarter of them again, every other repeat reversed, in a seeded order."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    again = []
+    for k, pick in enumerate(rng.integers(0, len(lines), len(lines) // 4).tolist()):
+        i, j, w = lines[pick].split()
+        again.append(f"{j} {i} {w}" if k % 2 else f"{i} {j} {w}")
+    lines = lines + again
+    return [lines[k] for k in rng.permutation(len(lines)).tolist()]
+
+
 def cli_test_runs(out: Path) -> list[tuple[str, list[str], Path]]:
     """(label, argv, report path) of each ``rankspectral test`` run, after writing its input."""
     folder = out / "test"
@@ -267,6 +281,9 @@ def cli_test_runs(out: Path) -> list[tuple[str, list[str], Path]]:
     add("edge-list-conflict", "weighted-edge-list", edges + [f"{j} {i} {float(w) + 1.0!r}"], "\n")
     zero = [f"{i} {j} 0.0", *edges[1:], f"{j} {i} -0.0"]
     add("edge-list-repeat-other-zero", "weighted-edge-list", zero, "\n")
+    add("edge-list-shuffled-repeats", "weighted-edge-list", _shuffled(zero, TEST_SEED + 3), "\n")
+    missing = _shuffled(edges[:7] + edges[8:], TEST_SEED + 4)
+    add("edge-list-shuffled-missing-pair", "weighted-edge-list", missing, "\n")
     # Files of 6-12 MiB, which load_matrix cuts into two byte ranges on
     # Linux with two CPUs, against a base that may read them as one.
     big = np.random.Generator(np.random.PCG64(TEST_SEED + 2)).standard_normal(RANGED_N * (RANGED_N - 1) // 2)
@@ -279,6 +296,8 @@ def cli_test_runs(out: Path) -> list[tuple[str, list[str], Path]]:
     i, j, w = edges[0].split()  # repeated, conflicting, in the last range
     conflict = edges + [f"{j} {i} {float(w) + 1.0!r}"]
     add(f"edge-list-conflict-n{RANGED_N}", "weighted-edge-list", conflict, "\n")
+    repeats = _shuffled(edges, TEST_SEED + 5)
+    add(f"edge-list-shuffled-repeats-n{RANGED_N}", "weighted-edge-list", repeats, "\n")
     return runs
 
 
